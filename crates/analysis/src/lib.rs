@@ -4,33 +4,29 @@
 //!
 //! The crate has two customers:
 //!
-//! * **`cpr-lint`** (the [`lint`] pass over [`cfg`], [`dataflow`], and
-//!   [`absint`]) — authoring-time diagnostics for `.cpr` subjects:
-//!   undefined/dead variables, unreachable statements and bug locations,
-//!   type mismatches, constant conditions. Shipped subjects must lint
-//!   clean; CI enforces it.
-//! * **`cpr-core`** (the [`screen`] module) — patch-space screening inside
-//!   the repair loop. Screens are *under-approximations of solver
-//!   refutation*: they only ever refute queries/candidates the solver (or
-//!   validation) would itself refute, so switching them on cannot change a
-//!   `RepairReport`, only skip solver work. The interval domain is shared
-//!   with the solver ([`cpr_smt::Interval`]), so the abstract transfer
-//!   functions here and the solver's contractors agree by construction.
+//! * **`cpr-lint`** (the [`lint`] pass over [`cfg`], [`dataflow`],
+//!   [`absint`] and [`zones`]) — authoring-time diagnostics for `.cpr`
+//!   subjects: undefined/dead variables, unreachable statements and bug
+//!   locations, type mismatches, constant conditions, possible division by
+//!   zero and out-of-bounds indexing. Shipped subjects must lint clean; CI
+//!   enforces it.
+//! * **`cpr-core`** (the [`alpha`] module) — Phase-1 synthesis rejects a
+//!   concrete candidate alpha-equivalent to the buggy expression without
+//!   spending its refinement queries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod absint;
-pub mod certify;
+pub mod alpha;
 pub mod cfg;
 pub mod dataflow;
 pub mod lint;
-pub mod screen;
 pub mod zones;
 
 pub use absint::{analyze, AbsBool, AbsState, AbsSummary, AbsVal};
+pub use alpha::alpha_equivalent;
 pub use cfg::{Cfg, CfgNode, NodeId, NodeKind};
 pub use dataflow::{dead_variables, liveness, Liveness};
 pub use lint::{lint_program, lint_source, Diagnostic};
-pub use screen::{alpha_equivalent, screened_unsat, statically_unsat, ScreenDomain};
 pub use zones::{analyze_zones, LoopHeadStats, Zone, ZoneSummary};

@@ -4,7 +4,7 @@
 //! Where [`crate::absint`] tracks one interval per scalar, this pass tracks
 //! *differences*: bounds of the form `x - y <= c` and `±x <= c`, stored in a
 //! difference-bound matrix (DBM) with a virtual zero variable `Z`. That is
-//! exactly the relational strength needed for the screening layer's subject
+//! exactly the relational strength needed for the subject
 //! programs — loop counters bounded by symbolic lengths (`i - len <= -1`),
 //! offset chains (`x = y + 3`), and array-index safety against a symbolic
 //! length variable `len$a` introduced for every array declaration.
@@ -14,8 +14,7 @@
 //! widen unstable bounds to +∞, and — once stable — run a bounded *narrowing*
 //! pass that pulls widened bounds back down to the last computed
 //! post-state. Per-loop-head precision statistics ([`LoopHeadStats`]) are
-//! reported so the repair session can export `screen.widen_rounds` /
-//! `screen.narrow_rounds` metrics.
+//! reported alongside the summary.
 //!
 //! Two value-safety site checks ride on the interpretation and feed the
 //! `cpr-lint` diagnostics `possible-division-by-zero` and

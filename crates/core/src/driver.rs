@@ -56,13 +56,15 @@ pub const SNAPSHOT_MAGIC: &[u8; 4] = b"CPRS";
 /// batched queries), to 3 when it gained the fleet-cache counters (hits,
 /// misses, no-good hits, stores, load errors) — each change altered the
 /// embedded stats codec shape — and to 4 when the payload gained the
-/// injected-inputs log ([`RepairDriver::inject_input`]).
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// injected-inputs log ([`RepairDriver::inject_input`]), and to 5 when it
+/// dropped the static-screen query counter along with the screen.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Oldest snapshot format version [`RepairDriver::resume`] still loads.
 /// Version 3 predates the injected-inputs log; such snapshots load with an
-/// empty injection log (there was nothing to inject back then) and
-/// re-encode as the current version.
+/// empty injection log (there was nothing to inject back then). Versions 3
+/// and 4 carry a static-screen query counter, which is read and discarded.
+/// Older snapshots re-encode as the current version.
 pub const MIN_SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be loaded. Loading never panics: every
@@ -173,7 +175,6 @@ pub struct RepairDriver {
     generated_runs: usize,
     generated_patch_hits: usize,
     generated_bug_hits: usize,
-    queries_screened: u64,
     /// Nanoseconds spent inside the exploration loop (budget clock).
     explore_nanos: u64,
     /// Nanoseconds spent in the driver overall (reported wall clock).
@@ -264,7 +265,6 @@ impl RepairDriver {
             generated_runs: 0,
             generated_patch_hits: 0,
             generated_bug_hits: 0,
-            queries_screened: 0,
             explore_nanos: 0,
             elapsed_nanos: t0.elapsed().as_nanos() as u64,
             stop: None,
@@ -437,8 +437,6 @@ impl RepairDriver {
             obs.patches_refined.add(rstats.refined as u64);
             obs.patches_dropped.add(rstats.removed as u64);
             obs.evidence_feasible.add(rstats.feasible as u64);
-            obs.queries_screened.add(rstats.screened);
-            self.queries_screened += rstats.screened;
         }
         obs.pool_patches.set(self.entries.len() as i64);
         self.history.push(pool_volume(&self.entries));
@@ -468,12 +466,10 @@ impl RepairDriver {
         obs.expand_candidates.add(expansion.stats.candidates as u64);
         obs.model_reuse_hits.add(expansion.stats.model_reuse_hits);
         obs.paths_skipped.add(expansion.paths_skipped as u64);
-        obs.queries_screened.add(expansion.stats.static_refutations);
         for candidate in expansion.candidates {
             self.queue.push(candidate);
         }
         self.paths_skipped += expansion.paths_skipped;
-        self.queries_screened += expansion.stats.static_refutations;
         StepStatus::Running
     }
 
@@ -609,7 +605,6 @@ impl RepairDriver {
             },
             wall_millis: self.elapsed_nanos / 1_000_000,
             solver_queries: self.sess.solver.stats().queries,
-            queries_screened: self.queries_screened,
         }
     }
 
@@ -686,7 +681,6 @@ impl RepairDriver {
         p.usize(self.generated_runs);
         p.usize(self.generated_patch_hits);
         p.usize(self.generated_bug_hits);
-        p.u64(self.queries_screened);
         p.u64(self.explore_nanos);
         p.u64(self.elapsed_nanos);
         p.u8(match self.stop {
@@ -836,7 +830,11 @@ impl RepairDriver {
         let generated_runs = p.len("generated runs")?;
         let generated_patch_hits = p.len("generated patch hits")?;
         let generated_bug_hits = p.len("generated bug hits")?;
-        let queries_screened = p.u64("queries screened")?;
+        if version <= 4 {
+            // The static-screen query counter, dropped in v5: read and
+            // discarded.
+            p.u64("queries screened")?;
+        }
         let explore_nanos = p.u64("explore nanos")?;
         let elapsed_nanos = p.u64("elapsed nanos")?;
         let stop = match p.u8("stop reason")? {
@@ -903,7 +901,6 @@ impl RepairDriver {
             generated_runs,
             generated_patch_hits,
             generated_bug_hits,
-            queries_screened,
             explore_nanos,
             elapsed_nanos,
             stop,
@@ -1252,11 +1249,14 @@ mod tests {
         );
     }
 
-    /// Rebuilds a current-version snapshot with no injections as the
-    /// version-3 wire image: the injection log (a trailing empty count)
-    /// did not exist, so stripping it and re-stamping version + length +
-    /// checksum reproduces the old format byte-for-byte.
-    fn downgrade_to_v3(snap: &[u8]) -> Vec<u8> {
+    /// Rebuilds a current-version snapshot with no injections as an older
+    /// wire image. The payload ends with explore and elapsed nanos (u64
+    /// each), the stop tag (u8) and the injection count (u64, zero here).
+    /// Versions 3 and 4 carried a static-screen query counter (u64) right
+    /// before those 25 bytes; version 3 also lacked the injection count.
+    /// Re-stamping version + length + checksum then reproduces the old
+    /// format byte-for-byte.
+    fn downgrade(snap: &[u8], version: u32, queries_screened: u64) -> Vec<u8> {
         let plen = u64::from_le_bytes(snap[16..24].try_into().unwrap()) as usize;
         let payload = &snap[24..24 + plen];
         assert_eq!(
@@ -1264,16 +1264,44 @@ mod tests {
             &0u64.to_le_bytes(),
             "fixture requires an empty injection log"
         );
-        let stripped = &payload[..plen - 8];
+        let tail = plen - 25;
+        let mut old = payload[..tail].to_vec();
+        old.extend_from_slice(&queries_screened.to_le_bytes());
+        old.extend_from_slice(&payload[tail..]);
+        if version == 3 {
+            old.truncate(old.len() - 8);
+        }
         let mut w = ByteWriter::new();
         w.raw(SNAPSHOT_MAGIC);
-        w.u32(3);
+        w.u32(version);
         w.raw(&snap[8..16]); // subject digest, verbatim
-        w.u64(stripped.len() as u64);
-        let checksum = wire::fnv1a(stripped);
-        w.raw(stripped);
+        w.u64(old.len() as u64);
+        let checksum = wire::fnv1a(&old);
+        w.raw(&old);
         w.u64(checksum);
         w.into_bytes()
+    }
+
+    /// The whole report except its wall-clock field.
+    fn report_key(mut report: RepairReport) -> String {
+        report.wall_millis = 0;
+        format!("{report:?}")
+    }
+
+    #[test]
+    fn resume_accepts_a_version_4_snapshot_and_discards_its_screen_counter() {
+        let mut d = RepairDriver::new(problem(), config());
+        d.step();
+        d.step();
+        let v4 = downgrade(&d.snapshot(), 4, 1234);
+        assert_eq!(u32::from_le_bytes(v4[4..8].try_into().unwrap()), 4);
+        assert!(check_snapshot_header(&problem(), &v4).is_ok());
+        let mut r = RepairDriver::resume(problem(), config(), &v4).unwrap();
+        // Re-snapshotting writes the current version, without the counter.
+        assert_eq!(r.snapshot(), d.snapshot());
+        while d.step() == StepStatus::Running {}
+        while r.step() == StepStatus::Running {}
+        assert_eq!(report_key(d.finish()), report_key(r.finish()));
     }
 
     #[test]
@@ -1281,7 +1309,7 @@ mod tests {
         let mut d = RepairDriver::new(problem(), config());
         d.step();
         d.step();
-        let v3 = downgrade_to_v3(&d.snapshot());
+        let v3 = downgrade(&d.snapshot(), 3, 77);
         assert_eq!(u32::from_le_bytes(v3[4..8].try_into().unwrap()), 3);
         assert!(check_snapshot_header(&problem(), &v3).is_ok());
         let mut r = RepairDriver::resume(problem(), config(), &v3).unwrap();
@@ -1301,7 +1329,7 @@ mod tests {
     fn resume_rejects_a_truncated_version_3_snapshot() {
         let mut d = RepairDriver::new(problem(), config());
         d.step();
-        let v3 = downgrade_to_v3(&d.snapshot());
+        let v3 = downgrade(&d.snapshot(), 3, 0);
         // Chop inside the payload: the checksum no longer matches (or the
         // byte reader runs dry) — either way a typed error, never a panic.
         let err = RepairDriver::resume(problem(), config(), &v3[..v3.len() - 9])

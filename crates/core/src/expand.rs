@@ -76,10 +76,6 @@ pub struct ExpandStats {
     /// Probe queries answered by re-evaluating the parent run's model
     /// (extended with the probe patch's representative parameters).
     pub model_reuse_hits: u64,
-    /// Queries (skeletons and probes) refuted by the static screening
-    /// layer ([`cpr_analysis::statically_unsat`]) before the UNSAT-prefix
-    /// store or the solver was consulted.
-    pub static_refutations: u64,
 }
 
 /// Result of one expansion batch, merged in flip order.
@@ -127,7 +123,6 @@ struct FlipOutcome {
     learned: Vec<CanonicalQuery>,
     base_unsat_skips: u64,
     model_reuse_hits: u64,
-    static_refutations: u64,
 }
 
 /// Expands one explored path: enumerates prefix flips, probes their
@@ -245,7 +240,6 @@ pub fn expand(
     let threads = config.threads.clamp(1, n);
     let base_terms = sess.pool.len();
     let counter = AtomicUsize::new(0);
-    let screen_domain = config.screen_domain;
     let pool = &sess.pool;
     let domains = &sess.domains;
     let store = &sess.unsat_prefixes;
@@ -270,7 +264,6 @@ pub fn expand(
                             store,
                             &tasks[i],
                             reuse_models,
-                            screen_domain,
                         );
                         done.push((i, outcome));
                     }
@@ -312,7 +305,6 @@ pub fn expand(
         }
         stats.base_unsat_skips += outcome.base_unsat_skips;
         stats.model_reuse_hits += outcome.model_reuse_hits;
-        stats.static_refutations += outcome.static_refutations;
     }
     stats.candidates = result.candidates.len();
     stats.paths_skipped = result.paths_skipped;
@@ -331,7 +323,6 @@ fn process_flip(
     store: &cpr_smt::UnsatPrefixStore,
     task: &FlipTask,
     reuse_models: &[Option<Model>],
-    screen_domain: cpr_analysis::ScreenDomain,
 ) -> FlipOutcome {
     let mut out = FlipOutcome::default();
     // Stage A: the patch-independent skeleton. UNSAT here refutes every
@@ -339,11 +330,6 @@ fn process_flip(
     // with one query instead of `max_feasibility_probes` — and the learned
     // skeleton keeps subsuming re-targeted probes in later iterations.
     //
-    // The static screen runs first: a root-refuted query yields the exact
-    // `Unsat` verdict the store or the search would produce, without
-    // consulting either. The canonical key is still learned, so the store
-    // contents — and with them every later verdict — match an unscreened
-    // run bit for bit.
     // With the incremental knobs on, the skeleton — a subset of every probe
     // query of this flip — becomes a pushed frame prefix: its check warms
     // the session, and each probe then pushes its full query as extras
@@ -352,24 +338,18 @@ fn process_flip(
     let use_frames = solver.config().incremental && solver.config().batch_candidates;
     let mut frames: Option<FrameSession> = None;
     if let Some(skeleton) = &task.skeleton {
-        let refuted = cpr_analysis::screened_unsat(solver, pool, skeleton, domains, screen_domain);
-        if refuted {
-            out.static_refutations += 1;
-        }
-        let skeleton_unsat = refuted || {
-            if use_frames {
-                let mut f = solver.open_frames(pool, domains);
-                for &c in skeleton {
-                    solver.push_frame(pool, &mut f, c);
-                }
-                let verdict = solver.check_frames(pool, &mut f, Some(store));
-                frames = Some(f);
-                verdict.is_unsat()
-            } else {
-                solver
-                    .check_prefixed(pool, skeleton, domains, store)
-                    .is_unsat()
+        let skeleton_unsat = if use_frames {
+            let mut f = solver.open_frames(pool, domains);
+            for &c in skeleton {
+                solver.push_frame(pool, &mut f, c);
             }
+            let verdict = solver.check_frames(pool, &mut f, Some(store));
+            frames = Some(f);
+            verdict.is_unsat()
+        } else {
+            solver
+                .check_prefixed(pool, skeleton, domains, store)
+                .is_unsat()
         };
         if skeleton_unsat {
             if let Some(key) = solver.canonical_query(pool, skeleton, domains) {
@@ -391,10 +371,7 @@ fn process_flip(
                 break;
             }
         }
-        let verdict = if cpr_analysis::screened_unsat(solver, pool, query, domains, screen_domain) {
-            out.static_refutations += 1;
-            SatResult::Unsat
-        } else if let Some(f) = frames.as_mut() {
+        let verdict = if let Some(f) = frames.as_mut() {
             solver.check_frames_with(pool, f, query, Some(store))
         } else {
             solver.check_prefixed(pool, query, domains, store)

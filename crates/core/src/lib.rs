@@ -63,7 +63,6 @@ mod session;
 mod synthesize;
 
 pub use apply::{apply_patch, term_to_expr};
-pub use cpr_analysis::ScreenDomain;
 pub use driver::{
     check_snapshot_header, subject_digest, RepairDriver, SnapshotError, StepStatus, StopReason,
     MIN_SNAPSHOT_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

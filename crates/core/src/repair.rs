@@ -78,11 +78,6 @@ pub struct RepairReport {
     pub wall_millis: u64,
     /// Total solver queries issued.
     pub solver_queries: u64,
-    /// Solver queries avoided by the `cpr-analysis` static screening layer
-    /// (certified root interval/zone refutations in the reduce and expand
-    /// phases). Always zero with [`RepairConfig::screen_domain`] `Off`;
-    /// every other report field is bit-identical across all domains.
-    pub queries_screened: u64,
 }
 
 impl RepairReport {
@@ -510,7 +505,6 @@ mod tests {
             input_coverage: None,
             wall_millis: 0,
             solver_queries: 0,
-            queries_screened: 0,
         };
         assert_eq!(r.reduction_ratio(), 0.0);
     }

@@ -31,8 +31,6 @@ pub struct CoreObs {
     pub paths_skipped: Counter,
     /// Inputs generated by expansion ("driver.inputs_generated").
     pub inputs_generated: Counter,
-    /// Queries answered by the static screen ("solver.queries_screened").
-    pub queries_screened: Counter,
     /// Patches synthesized into the initial pool ("synthesize.patches").
     pub patches_synthesized: Counter,
     /// Patches dropped by refinement ("reduce.patches_dropped").
@@ -63,7 +61,6 @@ impl CoreObs {
             paths_explored: registry.counter("driver.paths_explored"),
             paths_skipped: registry.counter("driver.paths_skipped"),
             inputs_generated: registry.counter("driver.inputs_generated"),
-            queries_screened: registry.counter("solver.queries_screened"),
             patches_synthesized: registry.counter("synthesize.patches"),
             patches_dropped: registry.counter("reduce.patches_dropped"),
             patches_refined: registry.counter("reduce.patches_refined"),
@@ -137,22 +134,6 @@ impl Session {
         }
         let mut solver = Solver::new(config.solver.clone());
         solver.attach_metrics(registry);
-        // One-shot zone-analysis precision stats for the subject program:
-        // loop-head count and per-head widen/narrow rounds. Write-only —
-        // the session never reads them back — and skipped entirely when
-        // metrics are off, so they cannot perturb the repair.
-        if registry.enabled() {
-            let zones = cpr_analysis::analyze_zones(&problem.program);
-            registry
-                .counter("screen.loop_heads")
-                .add(zones.loop_heads.len() as u64);
-            let widen = registry.histogram("screen.widen_rounds");
-            let narrow = registry.histogram("screen.narrow_rounds");
-            for stats in zones.loop_heads.values() {
-                widen.record(stats.widen_rounds);
-                narrow.record(stats.narrow_rounds);
-            }
-        }
         Session {
             pool,
             solver,

@@ -29,10 +29,10 @@ pub struct SynthStats {
     pub validated: usize,
     /// Total concrete patches covered by the validated pool (`|P_Init|`).
     pub concrete: u128,
-    /// Concrete candidates rejected by the alpha-equivalence screen
-    /// (structurally equal to the buggy expression modulo commutativity)
-    /// without spending their refinement solver queries.
-    pub screened: usize,
+    /// Concrete candidates rejected as alpha-equivalent to the buggy
+    /// expression (structurally equal modulo commutativity) without
+    /// spending their refinement solver queries.
+    pub alpha_rejected: usize,
 }
 
 /// Builds and validates the initial patch pool for `problem`.
@@ -47,10 +47,8 @@ pub fn build_patch_pool(
         ..SynthStats::default()
     };
     // The buggy expression at the hole, as a pool term for the
-    // alpha-equivalence screen. Interned unconditionally — not only when
-    // screening is on — so term ids (and everything downstream of them)
-    // are independent of [`RepairConfig::screen_domain`]. A condition
-    // hole with no recorded baseline behaves as `false`.
+    // alpha-equivalence reject. A condition hole with no recorded baseline
+    // behaves as `false`.
     let baseline: Option<TermId> = match problem.baseline_expr.as_deref() {
         Some(src) => crate::lower::lower_expr_src(&mut sess.pool, src).ok(),
         None if problem.synth.hole_kind == HoleKind::Cond => Some(sess.pool.ff()),
@@ -77,7 +75,7 @@ pub fn build_patch_pool(
             &cand,
             initial,
             baseline,
-            &mut stats.screened,
+            &mut stats.alpha_rejected,
         ) {
             entries.push(PoolEntry::new(validated));
             next_id += 1;
@@ -98,7 +96,7 @@ fn validate_candidate(
     cand: &PatchCandidate,
     mut patch: AbstractPatch,
     baseline: Option<TermId>,
-    screened: &mut usize,
+    alpha_rejected: &mut usize,
 ) -> Option<AbstractPatch> {
     let exec = ConcolicExecutor::with_budgets(config.exec_max_steps, config.exec_max_path);
     for input in problem
@@ -151,25 +149,18 @@ fn validate_candidate(
                         break;
                     };
                     let phi = run.constraints_for_patch(&mut sess.pool, cand.theta);
-                    // Alpha-equivalence screen: a concrete candidate
+                    // Alpha-equivalence reject: a concrete candidate
                     // structurally equal (modulo commutativity) to the
                     // buggy expression reproduces the original behaviour
                     // verbatim, so this failing test keeps failing and the
                     // refinement below is guaranteed to end in rejection.
-                    // Replicate refinement's interning (the region term and
-                    // ¬σ) and reject without its solver queries.
-                    if config.screen_domain != cpr_analysis::ScreenDomain::Off
-                        && failed
+                    // Reject without its solver queries.
+                    if failed
                         && cand.params.is_empty()
+                        && baseline.is_some_and(|b| alpha_equivalent(&sess.pool, cand.theta, b))
                     {
-                        if let Some(base) = baseline {
-                            if alpha_equivalent(&sess.pool, cand.theta, base) {
-                                patch.constraint.to_term(&mut sess.pool);
-                                sess.pool.not(sigma);
-                                *screened += 1;
-                                return None;
-                            }
-                        }
+                        *alpha_rejected += 1;
+                        return None;
                     }
                     let refined =
                         refine_patch(sess, &phi, &patch.constraint, sigma, 0, &mut 0, config);

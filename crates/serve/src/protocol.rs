@@ -395,7 +395,6 @@ pub fn report_to_json(r: &RepairReport) -> Json {
         ("input_coverage", opt(r.input_coverage, Json::Float)),
         ("wall_millis", Json::Int(r.wall_millis as i64)),
         ("solver_queries", Json::Int(r.solver_queries as i64)),
-        ("queries_screened", Json::Int(r.queries_screened as i64)),
         (
             "top_patched_source",
             opt(r.top_patched_source.clone(), Json::Str),

@@ -77,4 +77,3 @@ pub use solver::{
 };
 pub use term::{ArithOp, CmpOp, Sort, TermData, TermId, TermPool, VarId};
 pub use trail::FrameSession;
-pub use zone::{CertStep, EdgeOrigin, ScreenCertificate, ZoneEdge};

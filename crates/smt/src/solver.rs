@@ -24,7 +24,7 @@ use crate::interval::Interval;
 use crate::model::{Model, Value};
 use crate::term::{ArithOp, CmpOp, Sort, TermData, TermId, TermPool, VarId};
 use crate::trail::FrameSession;
-use crate::zone::{self, CertStep, ScreenCertificate};
+use crate::zone;
 
 /// Initial variable domains for a query.
 ///
@@ -576,10 +576,6 @@ struct SolverObs {
     fleet_load_errors: Counter,
     solve_nanos: Histogram,
     frame_contract_nanos: Histogram,
-    screen_refuted_interval: Counter,
-    screen_refuted_zones: Counter,
-    screen_cert_rejected: Counter,
-    screen_replay_nanos: Histogram,
 }
 
 impl SolverObs {
@@ -605,10 +601,6 @@ impl SolverObs {
             fleet_load_errors: reg.counter("solver.fleet.load_errors"),
             solve_nanos: reg.histogram("solver.solve_nanos"),
             frame_contract_nanos: reg.histogram("solver.frames.contract_nanos"),
-            screen_refuted_interval: reg.counter("screen.refuted.interval"),
-            screen_refuted_zones: reg.counter("screen.refuted.zones"),
-            screen_cert_rejected: reg.counter("screen.cert_rejected"),
-            screen_replay_nanos: reg.histogram("screen.cert_replay_nanos"),
         }
     }
 }
@@ -833,38 +825,6 @@ impl Solver {
     /// The solver configuration.
     pub fn config(&self) -> &SolverConfig {
         &self.config
-    }
-
-    /// Records a screened refutation in the `screen.*` metrics, split by
-    /// the abstract domain that closed the query. The screening layer
-    /// itself lives in `cpr-analysis` (which carries no `cpr-obs`
-    /// dependency); the handles live here because the solver is the one
-    /// object already threaded through every reduce/expand worker.
-    pub fn note_screen_refuted(&self, zones: bool) {
-        if zones {
-            self.obs.screen_refuted_zones.inc();
-        } else {
-            self.obs.screen_refuted_interval.inc();
-        }
-    }
-
-    /// Records a certificate the independent checker refused to replay;
-    /// the caller demotes the decision to a full solver query.
-    pub fn note_screen_cert_rejected(&self) {
-        self.obs.screen_cert_rejected.inc();
-    }
-
-    /// Starts the certificate-replay latency clock. `None` when metrics
-    /// are detached; hand the value back to
-    /// [`Solver::note_screen_replay_done`] either way.
-    pub fn screen_replay_timer(&self) -> Option<std::time::Instant> {
-        self.obs.screen_replay_nanos.start()
-    }
-
-    /// Stops the clock started by [`Solver::screen_replay_timer`] and
-    /// records the elapsed time in the replay-latency histogram.
-    pub fn note_screen_replay_done(&self, started: Option<std::time::Instant>) {
-        self.obs.screen_replay_nanos.stop(started);
     }
 
     /// Checks satisfiability of the conjunction of `constraints` under the
@@ -1107,10 +1067,8 @@ impl Solver {
     /// constraint order, so the bounded contraction trace is the same.
     /// `false` carries no information.
     ///
-    /// This is the primitive behind the static patch-screening layer
-    /// (`cpr-analysis`): a caller may substitute an `Unsat` verdict for a
-    /// query it would otherwise send to `check`, saving the search without
-    /// ever changing an answer.
+    /// The frame path uses it to confirm a failed push, and no-good
+    /// learning to re-verify a minimized conflict before storing it.
     pub fn refute_root(&self, pool: &TermPool, constraints: &[TermId], domains: &Domains) -> bool {
         let Some(mut live) = filter_live(pool, constraints) else {
             return true;
@@ -1157,93 +1115,6 @@ impl Solver {
         // soundness, so skipping the `all_true` short-circuit cannot
         // break the guarantee.)
         zone::zone_refute(pool, &live, &vbox).is_some()
-    }
-
-    /// [`Solver::refute_root`] with a replayable proof: runs the same
-    /// pass (interval-only when `zones` is `false`, interval-then-zone
-    /// when `true`) while recording every deduction, and returns the
-    /// [`ScreenCertificate`] when the pass refutes. The certificate is
-    /// designed for an *independent* checker — each step names the
-    /// constraint it derives from and the claimed effect, so a replayer
-    /// sharing no code with this solver can verify it from the term pool
-    /// and initial domains alone.
-    ///
-    /// The same one-directional guarantee applies: `Some(_)` implies
-    /// [`Solver::check`] answers `Unsat` on the same query (with
-    /// `zones: false` this holds a fortiori — the interval pass is a
-    /// prefix of the full root pass).
-    pub fn refute_root_certified(
-        &self,
-        pool: &TermPool,
-        constraints: &[TermId],
-        domains: &Domains,
-        zones: bool,
-    ) -> Option<ScreenCertificate> {
-        let mut steps: Vec<CertStep> = Vec::new();
-        let Some(mut live) = filter_live(pool, constraints) else {
-            let c = constraints
-                .iter()
-                .copied()
-                .find(|&c| pool.data(c) == TermData::BoolConst(false))?;
-            steps.push(CertStep::ConstFalse { constraint: c });
-            return Some(ScreenCertificate { steps });
-        };
-        if has_complementary_pair(pool, &live) {
-            let (a, b) = live.iter().enumerate().find_map(|(i, &a)| {
-                live[i + 1..]
-                    .iter()
-                    .find(|&&b| pool.complementary(a, b))
-                    .map(|&b| (a, b))
-            })?;
-            steps.push(CertStep::Complement { a, b });
-            return Some(ScreenCertificate { steps });
-        }
-        if self.config.max_nodes == 0 {
-            return None;
-        }
-        live.sort_unstable();
-        live.dedup();
-        let live = self.digests.sort_by_content(pool, &live);
-        let vars = self.query_vars(pool, &live);
-        let mut vbox = VarBox::new(pool, &vars, domains, self.config.default_domain);
-        for _ in 0..self.config.max_contraction_rounds {
-            vbox.clear_changed();
-            for &c in &live {
-                let before = vbox.snapshot_ivs();
-                if contract_bool(pool, c, true, &mut vbox).is_err() {
-                    steps.push(CertStep::Empty { constraint: c });
-                    return Some(ScreenCertificate { steps });
-                }
-                let writes: Vec<(VarId, Interval)> = vbox
-                    .diff_slots(&before)
-                    .into_iter()
-                    .map(|s| (vars[s], vbox.get(vars[s])))
-                    .collect();
-                if !writes.is_empty() {
-                    steps.push(CertStep::Narrow {
-                        constraint: c,
-                        writes,
-                    });
-                }
-            }
-            if !vbox.take_changed() {
-                break;
-            }
-        }
-        if let Some(&c) = live
-            .iter()
-            .find(|&&c| enclose_bool(pool, c, &vbox) == Bool3::False)
-        {
-            steps.push(CertStep::FalseEnclosure { constraint: c });
-            return Some(ScreenCertificate { steps });
-        }
-        if zones {
-            if let Some(edges) = zone::zone_refute(pool, &live, &vbox) {
-                steps.push(CertStep::NegativeCycle { edges });
-                return Some(ScreenCertificate { steps });
-            }
-        }
-        None
     }
 
     fn check_with_store(
@@ -1817,7 +1688,7 @@ impl Solver {
         // `x < y ∧ y < x`-shaped conjunctions the per-variable interval
         // contraction above cannot see. Root-only keeps the cost to one
         // Bellman–Ford scan per query; [`Solver::refute_root`] mirrors
-        // this pass exactly, which is what keeps the screening guarantee
+        // this pass exactly, which is what keeps its guarantee
         // ("refute_root implies check says Unsat") valid for zones too.
         if root && zone::zone_refute(pool, constraints, vbox).is_some() {
             return SatResult::Unsat;
@@ -2507,7 +2378,7 @@ mod tests {
 
     #[test]
     fn refute_root_implies_check_unsat() {
-        // The screening guarantee, exercised over a mixed batch including
+        // The refute_root guarantee, exercised over a mixed batch including
         // queries the root pass cannot decide (nonlinear, needs branching):
         // whenever refute_root fires, check agrees with Unsat; refute_root
         // spends no queries and no nodes.
@@ -2534,10 +2405,16 @@ mod tests {
         for q in &queries {
             if s.refute_root(&p, q, &d) {
                 fired += 1;
-                assert!(s.check(&p, q, &d).is_unsat(), "screen disagreed on {q:?}");
+                assert!(
+                    s.check(&p, q, &d).is_unsat(),
+                    "refute_root disagreed on {q:?}"
+                );
             }
         }
-        assert!(fired >= 2, "screen never fired on the refutable queries");
+        assert!(
+            fired >= 2,
+            "refute_root never fired on the refutable queries"
+        );
         // refute_root itself never touched the statistics.
         let fresh = Solver::new(SolverConfig::default());
         fresh.refute_root(&p, &queries[1], &d);

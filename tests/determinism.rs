@@ -26,7 +26,7 @@ fn report_key(r: &RepairReport) -> String {
     format!(
         "subject={} p_init={} p_final={} abs_init={} abs_final={} explored={} skipped={} \
          iters={} inputs={} patch_hit={:.6} bug_hit={:.6} dev_rank={:?} history={:?} \
-         coverage={:?} queries={} screened={} top={:?} ranked=[{}]",
+         coverage={:?} queries={} top={:?} ranked=[{}]",
         r.subject,
         r.p_init,
         r.p_final,
@@ -42,18 +42,16 @@ fn report_key(r: &RepairReport) -> String {
         r.history,
         r.input_coverage,
         r.solver_queries,
-        r.queries_screened,
         r.top_patched_source,
         ranked.join("; ")
     )
 }
 
-/// Drops the query-count fields — the only report fields a pure
-/// accelerator (the UNSAT-prefix store, the static screening layer) is
-/// allowed to move.
+/// Drops the query-count field — the only report field a pure
+/// accelerator (the UNSAT-prefix store) is allowed to move.
 fn strip_queries(key: &str) -> String {
     key.split_whitespace()
-        .filter(|f| !f.starts_with("queries=") && !f.starts_with("screened="))
+        .filter(|f| !f.starts_with("queries="))
         .collect::<Vec<_>>()
         .join(" ")
 }
@@ -289,8 +287,7 @@ fn metrics_instrumentation_is_invisible_in_the_report() {
 
 #[test]
 fn order_independent_counter_totals_are_thread_count_invariant() {
-    // Counters whose increments commute (query totals, screened totals,
-    // paths explored, pool synthesis counts) must reach the same total at
+    // Counters whose increments commute (query totals, paths explored, pool synthesis counts) must reach the same total at
     // any thread count — the shared-atomic design has no per-thread state
     // to merge, so only scheduling-dependent *splits* (e.g. which worker
     // scores a cache hit vs a miss) may move. Each run records into its
@@ -319,13 +316,8 @@ fn order_independent_counter_totals_are_thread_count_invariant() {
         };
         // The registry must agree with the report where they overlap.
         assert_eq!(get("driver.paths_explored"), report.paths_explored as u64);
-        assert_eq!(
-            get("solver.queries_screened"),
-            report.queries_screened as u64
-        );
         [
             get("solver.queries"),
-            get("solver.queries_screened"),
             get("driver.paths_explored"),
             get("driver.paths_skipped"),
             get("driver.inputs_generated"),
@@ -510,49 +502,6 @@ fn corrupted_fleet_cache_falls_back_to_cold_and_identical() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn static_screening_never_changes_the_repair_report() {
-    // The `cpr-analysis` screening layer (certified root interval/zone
-    // refutations in reduce/expand, alpha-equivalence candidate rejection
-    // in pool construction) is an under-approximation of solver
-    // refutation: substituting its verdict for a solver call must leave
-    // every report field untouched except the query counts — same
-    // patches, same ranking, same history — for every screen domain at
-    // any thread count.
-    use cpr_core::ScreenDomain;
-    let subjects = all_subjects();
-    let mut checked = 0;
-    for subject in subjects.iter().filter(|s| !s.not_supported).take(3) {
-        let name = subject.name();
-        let problem = subject.problem();
-        let run = |threads: usize, domain: ScreenDomain| {
-            let mut config = RepairConfig::quick();
-            config.max_iterations = 12;
-            config.threads = threads;
-            config.screen_domain = domain;
-            repair(&problem, &config)
-        };
-        for threads in [1, 4] {
-            let off = run(threads, ScreenDomain::Off);
-            let baseline = strip_queries(&report_key(&off));
-            for domain in [ScreenDomain::Interval, ScreenDomain::Zones] {
-                let on = run(threads, domain);
-                assert_eq!(
-                    strip_queries(&report_key(&on)),
-                    baseline,
-                    "{name}: {domain} screening changed the report at {threads} threads"
-                );
-            }
-            assert_eq!(
-                off.queries_screened, 0,
-                "{name}: screening counter moved while screening was off"
-            );
-        }
-        checked += 1;
-    }
-    assert!(checked >= 3, "expected at least 3 supported subjects");
 }
 
 #[test]
