@@ -22,6 +22,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use cpr_bench::{comparable, json_speedup, speedup};
 use cpr_concolic::{ConcolicExecutor, ConcolicResult, HolePatch, SeenPrefixes};
 use cpr_core::{
     build_patch_pool, expand, test_input, ExpandStats, PoolEntry, RepairConfig, RepairProblem,
@@ -339,7 +340,14 @@ fn main() {
         "benchmark must exercise the skeleton check"
     );
 
-    let speedup = serial_nocache.millis / parallel_cache.millis;
+    // Only a row whose thread count fits the host yields a speedup; a
+    // 4-thread row timed on fewer CPUs is reported as `null`.
+    let speedup = speedup(
+        serial_nocache.millis,
+        parallel_cache.millis,
+        parallel_cache.threads,
+        cpus,
+    );
     let hit_rate = parallel_cache.cache_hits as f64
         / (parallel_cache.cache_hits + parallel_cache.cache_misses).max(1) as f64;
 
@@ -379,14 +387,22 @@ fn main() {
             json,
             "    {{\"label\": \"{}\", \"threads\": {}, \"cache_capacity\": {}, \
              \"millis\": {:.1}, \"solver_queries\": {}, \"cache_hits\": {}, \
-             \"cache_misses\": {}}}{comma}",
-            o.label, o.threads, o.cache_capacity, o.millis, o.queries, o.cache_hits, o.cache_misses
+             \"cache_misses\": {}, \"comparable\": {}}}{comma}",
+            o.label,
+            o.threads,
+            o.cache_capacity,
+            o.millis,
+            o.queries,
+            o.cache_hits,
+            o.cache_misses,
+            comparable(o.threads, cpus)
         );
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"speedup_parallel_cache_vs_serial_nocache\": {speedup:.2},"
+        "  \"speedup_parallel_cache_vs_serial_nocache\": {},",
+        json_speedup(speedup)
     );
     let _ = writeln!(json, "  \"cache_hit_rate\": {hit_rate:.4}");
     json.push_str("}\n");
@@ -395,9 +411,10 @@ fn main() {
     println!("{json}");
     println!(
         "expand phase: {:.1} ms serial/no-cache vs {:.1} ms parallel/cache \
-         ({speedup:.2}x, {:.1}% cache hits, {} threads on {cpus} cpu(s))",
+         (speedup {}, {:.1}% cache hits, {} threads on {cpus} cpu(s))",
         serial_nocache.millis,
         parallel_cache.millis,
+        json_speedup(speedup),
         hit_rate * 100.0,
         parallel_cache.threads
     );

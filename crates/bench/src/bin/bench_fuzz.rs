@@ -7,7 +7,8 @@
 //! * **Campaign determinism** — two runs of the same seeded campaign
 //!   produce identical findings, exec counts and solver tallies; the
 //!   throughput figure (inputs/sec) and time-to-first-new-signature are
-//!   only meaningful because of it.
+//!   only meaningful because of it. Throughput is measured over repeats
+//!   of that campaign until at least 2,000 execs or 1 s of run time.
 //! * **Injection identity** — the same input injected (a) before the
 //!   first driver step, (b) between steps mid-run, and (c) mid-run with a
 //!   snapshot/resume cycle right after, yields a bit-identical final
@@ -80,6 +81,13 @@ fn fingerprint(r: &RepairReport) -> String {
         ranked.join("; ")
     )
 }
+
+/// Throughput floor: the seeded campaign is repeated until its summed
+/// execs reach this count or its summed run time reaches
+/// [`THROUGHPUT_MIN_MILLIS`], whichever comes first.
+const THROUGHPUT_MIN_EXECS: u64 = 2_000;
+/// Time floor of the throughput sample, in milliseconds.
+const THROUGHPUT_MIN_MILLIS: f64 = 1_000.0;
 
 fn program() -> Program {
     let program = parse(SRC).unwrap();
@@ -291,7 +299,18 @@ fn main() {
         return;
     }
 
-    let inputs_per_sec = campaign.execs as f64 / (campaign.millis / 1e3).max(1e-9);
+    // Throughput from a real sample: one campaign runs out of frontier in
+    // well under a millisecond, so repeat it (each repeat replays the
+    // identical seeded campaign, asserted) until the exec or time floor.
+    let (mut reps, mut total_execs, mut total_millis) = (1u64, campaign.execs, campaign.millis);
+    while total_execs < THROUGHPUT_MIN_EXECS && total_millis < THROUGHPUT_MIN_MILLIS {
+        let rep = run_campaign(max_execs);
+        assert_eq!(rep.key, campaign.key, "fuzz campaign diverged across runs");
+        reps += 1;
+        total_execs += rep.execs;
+        total_millis += rep.millis;
+    }
+    let inputs_per_sec = total_execs as f64 / (total_millis / 1e3).max(1e-9);
     let first_sig_ms = campaign.first_signature_ms.unwrap_or(-1.0);
 
     let mut json = String::from("{\n");
@@ -302,6 +321,9 @@ fn main() {
     let _ = writeln!(json, "  \"signatures\": {},", campaign.signatures);
     let _ = writeln!(json, "  \"solver_queries\": {},", campaign.solver_queries);
     let _ = writeln!(json, "  \"campaign_millis\": {:.1},", campaign.millis);
+    let _ = writeln!(json, "  \"throughput_reps\": {reps},");
+    let _ = writeln!(json, "  \"throughput_execs\": {total_execs},");
+    let _ = writeln!(json, "  \"throughput_millis\": {total_millis:.1},");
     let _ = writeln!(json, "  \"inputs_per_sec\": {inputs_per_sec:.1},");
     let _ = writeln!(json, "  \"first_new_signature_ms\": {first_sig_ms:.2},");
     let _ = writeln!(json, "  \"injection_identical_reports\": true,");
@@ -316,7 +338,8 @@ fn main() {
     std::fs::write("BENCH_fuzz.json", &json).expect("write BENCH_fuzz.json");
     println!("{json}");
     println!(
-        "concolic fuzz: {inputs_per_sec:.0} inputs/sec, first new signature after \
-         {first_sig_ms:.1} ms, {pool_reduction} concrete patches pruned per injected input"
+        "concolic fuzz: {inputs_per_sec:.0} inputs/sec ({total_execs} execs over {reps} \
+         campaigns), first new signature after {first_sig_ms:.1} ms, {pool_reduction} \
+         concrete patches pruned per injected input"
     );
 }

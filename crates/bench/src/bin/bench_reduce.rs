@@ -19,6 +19,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use cpr_bench::{comparable, json_speedup, speedup};
 use cpr_concolic::{ConcolicExecutor, ConcolicResult, HolePatch};
 use cpr_core::{
     build_patch_pool, reduce, test_input, PoolEntry, ReduceStats, RepairConfig, RepairProblem,
@@ -366,9 +367,12 @@ fn main() {
         return;
     }
 
-    let speedup_incremental = serial_nocache.millis / serial_incremental.millis;
-    let speedup_parallel_incremental = serial_nocache.millis / parallel_incremental.millis;
-    let speedup = serial_nocache.millis / parallel_cache.millis;
+    // Speedups only from comparable rows: a 4-thread row timed on fewer
+    // CPUs measures oversubscription and is reported as `null`.
+    let speedup_of = |o: &Outcome| speedup(serial_nocache.millis, o.millis, o.threads, cpus);
+    let speedup_incremental = speedup_of(&serial_incremental);
+    let speedup_parallel_incremental = speedup_of(&parallel_incremental);
+    let speedup_parallel_cache = speedup_of(&parallel_cache);
     let hit_rate = parallel_cache.cache_hits as f64
         / (parallel_cache.cache_hits + parallel_cache.cache_misses).max(1) as f64;
 
@@ -401,7 +405,7 @@ fn main() {
              \"cache_hits\": {}, \"cache_misses\": {}, \"frames_pushed\": {}, \
              \"trail_restores\": {}, \"nogood_hits\": {}, \"batched_queries\": {}, \
              \"solve_mean_nanos\": {}, \"solve_p50_nanos\": {}, \
-             \"solve_p90_nanos\": {}, \"solve_p99_nanos\": {}}}{comma}",
+             \"solve_p90_nanos\": {}, \"solve_p99_nanos\": {}, \"comparable\": {}}}{comma}",
             o.label,
             o.threads,
             o.cache_capacity,
@@ -417,21 +421,25 @@ fn main() {
             o.solve_mean_nanos,
             o.solve_p50_nanos,
             o.solve_p90_nanos,
-            o.solve_p99_nanos
+            o.solve_p99_nanos,
+            comparable(o.threads, cpus)
         );
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"speedup_serial_incremental_vs_serial_nocache\": {speedup_incremental:.2},"
+        "  \"speedup_serial_incremental_vs_serial_nocache\": {},",
+        json_speedup(speedup_incremental)
     );
     let _ = writeln!(
         json,
-        "  \"speedup_parallel_incremental_vs_serial_nocache\": {speedup_parallel_incremental:.2},"
+        "  \"speedup_parallel_incremental_vs_serial_nocache\": {},",
+        json_speedup(speedup_parallel_incremental)
     );
     let _ = writeln!(
         json,
-        "  \"speedup_parallel_cache_vs_serial_nocache\": {speedup:.2},"
+        "  \"speedup_parallel_cache_vs_serial_nocache\": {},",
+        json_speedup(speedup_parallel_cache)
     );
     let _ = writeln!(json, "  \"cache_hit_rate\": {hit_rate:.4}");
     json.push_str("}\n");
@@ -440,11 +448,13 @@ fn main() {
     println!("{json}");
     println!(
         "reduce phase: {:.1} ms serial/no-cache vs {:.1} ms serial-incremental \
-         ({speedup_incremental:.2}x) vs {:.1} ms parallel-incremental \
-         ({speedup_parallel_incremental:.2}x, {} threads on {cpus} cpu(s))",
+         (speedup {}) vs {:.1} ms parallel-incremental \
+         (speedup {}, {} threads on {cpus} cpu(s))",
         serial_nocache.millis,
         serial_incremental.millis,
+        json_speedup(speedup_incremental),
         parallel_incremental.millis,
+        json_speedup(speedup_parallel_incremental),
         parallel_incremental.threads
     );
 }

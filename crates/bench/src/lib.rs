@@ -165,9 +165,36 @@ pub fn rank_str(rank: Option<usize>) -> String {
     }
 }
 
+/// Whether a timing taken with `threads` workers on `cpus` CPUs can be
+/// read as a parallel speedup: with more threads than CPUs the row times
+/// oversubscription, not parallelism.
+pub fn comparable(threads: usize, cpus: usize) -> bool {
+    threads <= cpus
+}
+
+/// `baseline_millis / millis` for a row timed with `threads` workers, or
+/// `None` when that row is not [`comparable`] on `cpus` CPUs.
+pub fn speedup(baseline_millis: f64, millis: f64, threads: usize, cpus: usize) -> Option<f64> {
+    comparable(threads, cpus).then(|| baseline_millis / millis)
+}
+
+/// An optional speedup as a JSON value: two decimals, or `null`.
+pub fn json_speedup(speedup: Option<f64>) -> String {
+    speedup.map_or_else(|| "null".to_owned(), |s| format!("{s:.2}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn speedups_only_from_comparable_rows() {
+        assert!(comparable(1, 1) && comparable(2, 2) && !comparable(4, 2));
+        assert_eq!(speedup(300.0, 100.0, 2, 2), Some(3.0));
+        assert_eq!(speedup(300.0, 100.0, 4, 2), None);
+        assert_eq!(json_speedup(Some(3.0)), "3.00");
+        assert_eq!(json_speedup(None), "null");
+    }
 
     #[test]
     fn table_renders_aligned() {

@@ -202,11 +202,12 @@ pub struct RepairConfig {
     pub track_coverage: bool,
     /// Fixpoint rounds when validating candidates in Phase 1.
     pub max_validation_rounds: usize,
-    /// Worker threads for the parallel phases of the repair loop: the
-    /// patch-space reduction walk (Algorithm 2) and the expansion phase
-    /// (generational search + path-reduction feasibility probes). Defaults
-    /// to the machine's available parallelism. Any value produces
-    /// bit-identical results — only wall-clock changes.
+    /// Worker threads for the parallel phases of a repair run: Phase-1
+    /// validation (patch-pool construction), the patch-space reduction
+    /// walk (Algorithm 2) and the expansion phase (generational search +
+    /// path-reduction feasibility probes). Defaults to the machine's
+    /// available parallelism. Any value produces bit-identical results —
+    /// only wall-clock changes.
     pub threads: usize,
     /// Capacity of the UNSAT-prefix store used for incremental prefix
     /// solving during expansion: once a path prefix is proven UNSAT, every

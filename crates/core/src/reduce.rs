@@ -21,11 +21,16 @@
 //!    `T_i`, `σ`, `¬σ`, and the oriented `¬ψ_i` of the deletion check) is
 //!    interned into the shared pool *before* the fan-out, so all pool forks
 //!    agree on those ids.
-//! 2. **At most one worker-local id per query.** Any term a worker interns
-//!    itself (a refinement region term) gets an id past the pre-interned
-//!    base, so in the solver's canonical (sorted) query order it always
-//!    sorts last — a worker's interning history can never change the
-//!    canonical form, hence never the verdict or the witness model.
+//! 2. **Content-digest answer order.** Any term a worker interns itself (a
+//!    refinement region term) gets an id past the pre-interned base whose
+//!    value depends on that worker's interning history. The solver never
+//!    lets such ids steer a search: it answers every query with its
+//!    constraints iterated in content-digest order (see `cpr_smt::digest`),
+//!    so the verdict and the witness model are functions of what the
+//!    constraints say, not of the ids they were given. Queries mentioning
+//!    a worker-local id also bypass the shared query cache (the fork's
+//!    cache floor), where an id would name different terms in different
+//!    forks.
 //!
 //! Workers return pool-independent outcomes (regions, flags) that are
 //! merged in entry order, and their solver statistics and cacheable query
@@ -100,66 +105,32 @@ pub fn reduce(
             }
         }
     }
-    let base_terms = sess.pool.len();
     let refine_spec = run.hit_bug || !run.asserts.is_empty();
 
-    // Fan the per-entry work out over forked workers; entry index order is
-    // restored at merge time, so scheduling cannot influence the result.
-    let threads = config.threads.clamp(1, n.max(1));
-    let counter = AtomicUsize::new(0);
+    // Per-entry work on forked workers; outcomes come back in entry order.
     let entries_view: &[PoolEntry] = entries;
     let domains = &sess.domains;
-    let worker_results: Vec<(Vec<(usize, EntryOutcome)>, Solver)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let mut pool = sess.pool.clone();
-                let mut solver = sess.solver.fork(base_terms);
-                let counter = &counter;
-                let phis = &phis;
-                let t_terms = &t_terms;
-                s.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = counter.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let outcome = process_entry(
-                            &mut pool,
-                            &mut solver,
-                            domains,
-                            &entries_view[i].patch,
-                            &phis[i],
-                            t_terms[i],
-                            sigma,
-                            refine_spec,
-                            run,
-                            config,
-                        );
-                        done.push((i, outcome));
-                    }
-                    (done, solver)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("reduce worker panicked"))
-            .collect()
-    });
-
-    // Deterministic merge: fold solvers back in spawn order, apply
-    // outcomes in entry order.
-    let mut outcomes: Vec<Option<EntryOutcome>> = Vec::with_capacity(n);
-    outcomes.resize_with(n, || None);
-    for (done, solver) in worker_results {
-        for (i, outcome) in done {
-            outcomes[i] = Some(outcome);
-        }
-        sess.solver.absorb(solver);
-    }
+    let outcomes = fan_out(
+        &sess.pool,
+        &mut sess.solver,
+        n,
+        config.threads,
+        |pool, solver, i| {
+            process_entry(
+                pool,
+                solver,
+                domains,
+                &entries_view[i].patch,
+                &phis[i],
+                t_terms[i],
+                sigma,
+                refine_spec,
+                run,
+                config,
+            )
+        },
+    );
     for (entry, outcome) in entries.iter_mut().zip(outcomes) {
-        let outcome = outcome.expect("every entry is processed exactly once");
         if !outcome.feasible {
             // Unsat/Unknown π: cannot reason about ρ here; ranking unchanged.
             continue;
@@ -189,6 +160,64 @@ pub fn reduce(
     stats.removed = removed_before - entries.len();
     stats.solver_calls = sess.solver.stats().queries - before;
     stats
+}
+
+/// Runs `work(pool, solver, i)` for every `i` in `0..n` on up to `threads`
+/// workers, each owning a fork of `pool` and a [`Solver::fork`] of
+/// `solver` taken at `pool.len()` — every id already in `pool` is shared by
+/// all forks, so callers pre-intern whatever their items share first.
+/// Workers claim indices from an atomic counter; their solvers are
+/// absorbed back into `solver` in spawn order and their pools dropped.
+/// Results come back in index order, so scheduling cannot influence them
+/// as long as each result is pool-independent (see the module docs). This
+/// is the fan-out of Reduce and of Phase-1 validation; `threads = 1` runs
+/// the same code on one worker.
+pub(crate) fn fan_out<T: Send>(
+    pool: &TermPool,
+    solver: &mut Solver,
+    n: usize,
+    threads: usize,
+    work: impl Fn(&mut TermPool, &mut Solver, usize) -> T + Sync,
+) -> Vec<T> {
+    let base_terms = pool.len();
+    let threads = threads.clamp(1, n.max(1));
+    let counter = AtomicUsize::new(0);
+    let work = &work;
+    let workers: Vec<(Vec<(usize, T)>, Solver)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let mut pool = pool.clone();
+                let mut solver = solver.fork(base_terms);
+                let counter = &counter;
+                s.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = counter.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        done.push((i, work(&mut pool, &mut solver, i)));
+                    }
+                    (done, solver)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fan-out worker panicked"))
+            .collect()
+    });
+    let mut results: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
+    for (done, worker) in workers {
+        for (i, result) in done {
+            results[i] = Some(result);
+        }
+        solver.absorb(worker);
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every index is processed exactly once"))
+        .collect()
 }
 
 /// A solver check of `prefix ++ extras`. When `frames` is given, the
@@ -387,12 +416,13 @@ pub fn refine_patch(
     )
 }
 
-/// [`refine_patch`] on explicit pool/solver/domain state, so reduce workers
-/// can run it on their forks. When `frames` is given it must hold exactly
-/// `phi` pushed; every query of the refinement then reuses that contracted
-/// prefix and only push/pops its own two or three hole constraints.
+/// [`refine_patch`] on explicit pool/solver/domain state, so reduce and
+/// Phase-1 validation workers can run it on their forks. When `frames` is
+/// given it must hold exactly `phi` pushed; every query of the refinement
+/// then reuses that contracted prefix and only push/pops its own two or
+/// three hole constraints.
 #[allow(clippy::too_many_arguments)]
-fn refine_patch_impl(
+pub(crate) fn refine_patch_impl(
     pool: &mut TermPool,
     solver: &mut Solver,
     domains: &Domains,

@@ -8,20 +8,35 @@
 //! at construction time, which is what the paper means by "the constraints
 //! shown in the table are already modified by the synthesizer to pass the
 //! initial test case".
+//!
+//! # Parallelism
+//!
+//! Candidates never interact, so validation fans out over
+//! [`RepairConfig::threads`] workers through the same `fan_out` as
+//! [`crate::reduce::reduce`]: every term shared between candidates (the
+//! templates `θ`, the alpha-reject baseline, the input variables of the
+//! provided tests) is interned into the session pool before the fan-out;
+//! each worker validates on its own pool fork and solver fork, and returns
+//! pool-independent outcomes (regions over base-pool parameters) that are
+//! merged in candidate order. The solver answers every query in
+//! content-digest order, so a verdict never depends on the worker-local ids
+//! a worker's interning history assigned. Worker pools are dropped at the
+//! merge: Phase 1 leaves only the pre-interned terms in the session pool,
+//! at every thread count.
 
 use cpr_analysis::alpha_equivalent;
 use cpr_concolic::{ConcolicExecutor, HolePatch};
 use cpr_lang::{HoleKind, Outcome};
-use cpr_smt::{Region, TermId};
+use cpr_smt::{Domains, Model, Region, Solver, TermId, TermPool};
 use cpr_synth::{enumerate, AbstractPatch, PatchCandidate};
 
 use crate::problem::{RepairConfig, RepairProblem};
 use crate::ranking::PoolEntry;
-use crate::reduce::refine_patch;
+use crate::reduce::{fan_out, refine_patch_impl};
 use crate::session::Session;
 
 /// Statistics from pool construction.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SynthStats {
     /// Templates enumerated before validation.
     pub enumerated: usize,
@@ -41,6 +56,8 @@ pub fn build_patch_pool(
     problem: &RepairProblem,
     config: &RepairConfig,
 ) -> (Vec<PoolEntry>, SynthStats) {
+    // Serial pre-interning: the templates (by `enumerate`), the baseline
+    // and the provided tests' input variables all get shared-pool ids.
     let candidates = enumerate(&mut sess.pool, &problem.components, &problem.synth);
     let mut stats = SynthStats {
         enumerated: candidates.len(),
@@ -54,57 +71,79 @@ pub fn build_patch_pool(
         None if problem.synth.hole_kind == HoleKind::Cond => Some(sess.pool.ff()),
         None => None,
     };
-    let (plo, phi) = problem.synth.param_range;
-    let mut entries = Vec::new();
-    let mut next_id = 0;
-    for cand in candidates {
-        let initial = if cand.params.is_empty() {
-            AbstractPatch::concrete(next_id, cand.theta)
-        } else {
-            AbstractPatch::new(
-                next_id,
-                cand.theta,
-                cand.params.clone(),
-                Region::full(cand.params.clone(), plo, phi),
-            )
-        };
-        if let Some(validated) = validate_candidate(
-            sess,
-            problem,
-            config,
-            &cand,
-            initial,
-            baseline,
-            &mut stats.alpha_rejected,
-        ) {
-            entries.push(PoolEntry::new(validated));
-            next_id += 1;
-        }
-    }
+    let inputs: Vec<Model> = problem
+        .failing_inputs
+        .iter()
+        .chain(problem.passing_inputs.iter())
+        .map(|input| sess.input_model(input))
+        .collect();
+
+    // Validate on forked workers; results come back in candidate order,
+    // and the survivors are numbered in that order.
+    let domains = &sess.domains;
+    let validated = fan_out(
+        &sess.pool,
+        &mut sess.solver,
+        candidates.len(),
+        config.threads,
+        |pool, solver, i| {
+            let mut alpha_rejected = false;
+            let patch = validate_candidate(
+                pool,
+                solver,
+                domains,
+                &inputs,
+                problem,
+                config,
+                &candidates[i],
+                baseline,
+                &mut alpha_rejected,
+            );
+            (patch, alpha_rejected)
+        },
+    );
+    stats.alpha_rejected = validated.iter().filter(|(_, alpha)| *alpha).count();
+    let entries: Vec<PoolEntry> = validated
+        .into_iter()
+        .filter_map(|(patch, _)| patch)
+        .enumerate()
+        .map(|(id, patch)| PoolEntry::new(AbstractPatch { id, ..patch }))
+        .collect();
     stats.validated = entries.len();
     stats.concrete = entries.iter().map(|e| e.patch.concrete_count()).sum();
     (entries, stats)
 }
 
-/// Validates one candidate against all provided tests, refining its
-/// parameter constraint. Returns the refined patch, or `None` when the
-/// candidate cannot repair some test for any parameter value.
+/// Validates one candidate against all provided tests (`inputs`, as
+/// models), refining its parameter constraint on worker-owned state.
+/// Returns the refined patch — numbered 0; the merge assigns pool ids — or
+/// `None` when the candidate cannot repair some test for any parameter
+/// value.
+#[allow(clippy::too_many_arguments)]
 fn validate_candidate(
-    sess: &mut Session,
+    pool: &mut TermPool,
+    solver: &mut Solver,
+    domains: &Domains,
+    inputs: &[Model],
     problem: &RepairProblem,
     config: &RepairConfig,
     cand: &PatchCandidate,
-    mut patch: AbstractPatch,
     baseline: Option<TermId>,
-    alpha_rejected: &mut usize,
+    alpha_rejected: &mut bool,
 ) -> Option<AbstractPatch> {
+    let mut patch = if cand.params.is_empty() {
+        AbstractPatch::concrete(0, cand.theta)
+    } else {
+        let (plo, phi) = problem.synth.param_range;
+        AbstractPatch::new(
+            0,
+            cand.theta,
+            cand.params.clone(),
+            Region::full(cand.params.clone(), plo, phi),
+        )
+    };
     let exec = ConcolicExecutor::with_budgets(config.exec_max_steps, config.exec_max_path);
-    for input in problem
-        .failing_inputs
-        .iter()
-        .chain(problem.passing_inputs.iter())
-    {
-        let input_model = sess.input_model(input);
+    for input_model in inputs {
         let mut accepted = false;
         for _round in 0..config.max_validation_rounds {
             let rep = patch.representative()?;
@@ -112,7 +151,7 @@ fn validate_candidate(
                 theta: cand.theta,
                 params: rep.clone(),
             };
-            let run = exec.execute(&mut sess.pool, &problem.program, &input_model, Some(&hole));
+            let run = exec.execute(pool, &problem.program, input_model, Some(&hole));
             match &run.outcome {
                 // A sanitizer crash the specification did not capture: the
                 // candidate does not even keep the program crash-free on
@@ -140,7 +179,7 @@ fn validate_candidate(
                         accepted = true;
                         break;
                     }
-                    let Some(sigma) = run.spec_term(&mut sess.pool) else {
+                    let Some(sigma) = run.spec_term(pool) else {
                         // No specification observed on this path.
                         if failed {
                             return None;
@@ -148,7 +187,7 @@ fn validate_candidate(
                         accepted = true;
                         break;
                     };
-                    let phi = run.constraints_for_patch(&mut sess.pool, cand.theta);
+                    let phi = run.constraints_for_patch(pool, cand.theta);
                     // Alpha-equivalence reject: a concrete candidate
                     // structurally equal (modulo commutativity) to the
                     // buggy expression reproduces the original behaviour
@@ -157,13 +196,23 @@ fn validate_candidate(
                     // Reject without its solver queries.
                     if failed
                         && cand.params.is_empty()
-                        && baseline.is_some_and(|b| alpha_equivalent(&sess.pool, cand.theta, b))
+                        && baseline.is_some_and(|b| alpha_equivalent(pool, cand.theta, b))
                     {
-                        *alpha_rejected += 1;
+                        *alpha_rejected = true;
                         return None;
                     }
-                    let refined =
-                        refine_patch(sess, &phi, &patch.constraint, sigma, 0, &mut 0, config);
+                    let refined = refine_patch_impl(
+                        pool,
+                        solver,
+                        domains,
+                        None,
+                        &phi,
+                        &patch.constraint,
+                        sigma,
+                        0,
+                        &mut 0,
+                        config,
+                    );
                     if refined.is_empty() {
                         return None;
                     }
@@ -187,7 +236,7 @@ fn validate_candidate(
                         .collect();
                     if region.contains_point(&rep_point) {
                         let parts = region.split_at(&rep_point);
-                        region = cpr_smt::Region::union(patch.params.clone(), parts).merged();
+                        region = Region::union(patch.params.clone(), parts).merged();
                     }
                     if region.is_empty() {
                         return None;
@@ -234,6 +283,88 @@ mod tests {
             vec![test_input(&[("x", 7), ("y", 0)])],
         )
         .with_developer_patch("x == 0 || y == 0")
+    }
+
+    /// A subject with one failing and two passing tests whose oracles are
+    /// assertions (the ManyBugs libtiff-865f7b2 shape): validation runs
+    /// failing and passing branches and refines against both.
+    fn asserting_problem() -> RepairProblem {
+        let program = parse(
+            "program libtiff_865f7b2 {
+               input flags in [-10, 10];
+               input n in [0, 10];
+               var out: int = 0;
+               if (__patch_cond__(flags, n)) { out = n * 2; } else { out = n; }
+               assert(out == n * 2 || flags <= 0);
+               assert(out == n || flags > 0);
+               return out;
+             }",
+        )
+        .unwrap();
+        check(&program).unwrap();
+        RepairProblem::new(
+            "Libtiff/865f7b2",
+            program,
+            ComponentSet::new()
+                .with_all_comparisons()
+                .with_logic()
+                .with_variables(["flags", "n"])
+                .with_constants(&[0]),
+            SynthConfig::default(),
+            vec![test_input(&[("flags", 3), ("n", 2)])],
+        )
+        .with_passing_inputs(vec![
+            test_input(&[("flags", 9), ("n", 1)]),
+            test_input(&[("flags", -4), ("n", 3)]),
+        ])
+        .with_baseline("flags > 5")
+    }
+
+    /// Everything Phase 1 leaves behind that a later phase or a report can
+    /// observe: the entries (order, ids, display, regions, volumes), the
+    /// statistics, the solver query count and the session pool size.
+    type PoolFingerprint = (Vec<(usize, String, Region, u128)>, SynthStats, u64, usize);
+
+    fn pool_at(problem: &RepairProblem, threads: usize) -> PoolFingerprint {
+        let config = RepairConfig {
+            threads,
+            ..RepairConfig::quick()
+        };
+        let mut sess = Session::new(problem, &config);
+        let (entries, stats) = build_patch_pool(&mut sess, problem, &config);
+        let entries = entries
+            .iter()
+            .map(|e| {
+                (
+                    e.patch.id,
+                    e.patch.display(&sess.pool),
+                    e.patch.constraint.clone(),
+                    e.patch.concrete_count(),
+                )
+            })
+            .collect();
+        (entries, stats, sess.solver.stats().queries, sess.pool.len())
+    }
+
+    #[test]
+    fn pool_construction_is_identical_across_thread_counts() {
+        for problem in [problem(), asserting_problem()] {
+            let serial = pool_at(&problem, 1);
+            assert!(!serial.0.is_empty(), "{}: empty pool", problem.name);
+            assert!(
+                serial.0.iter().enumerate().all(|(i, e)| e.0 == i),
+                "{}: ids are not sequential",
+                problem.name
+            );
+            for threads in [2, 4, 8] {
+                assert_eq!(
+                    pool_at(&problem, threads),
+                    serial,
+                    "{}: Phase 1 differs between 1 and {threads} threads",
+                    problem.name
+                );
+            }
+        }
     }
 
     #[test]
