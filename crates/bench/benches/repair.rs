@@ -84,7 +84,7 @@ fn bench_refine(c: &mut Criterion) {
         let xy = sess.pool.mul(x, y);
         let sigma = sess.pool.ne(xy, zero);
         let region = Region::full(vec![a_var], -10, 7);
-        b.iter(|| refine_patch(&mut sess, &phi, &region, sigma, 0, &mut 0, &config))
+        b.iter(|| refine_patch(&mut sess, &phi, &region, sigma, &mut 0, &config))
     });
 
     g.bench_function("reduce_one_run", |b| {

@@ -137,15 +137,8 @@ fn main() {
             let not_psi = sess.pool.not(p.patch.theta);
             let mut phi = partition.clone();
             phi.push(not_psi);
-            let refined = refine_patch(
-                &mut sess,
-                &phi,
-                &p.patch.constraint,
-                sigma,
-                0,
-                &mut 0,
-                &config,
-            );
+            let refined =
+                refine_patch(&mut sess, &phi, &p.patch.constraint, sigma, &mut 0, &config);
             if refined.is_empty() {
                 p.alive = false;
             }

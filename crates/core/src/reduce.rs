@@ -290,7 +290,6 @@ fn process_entry(
                 phi,
                 &patch.constraint,
                 sigma,
-                0,
                 &mut 0,
                 config,
             );
@@ -392,13 +391,13 @@ fn deletion_like(
 /// [`Region`]) so that the specification `σ` can no longer be violated on
 /// the partition `φ` (which must already be re-targeted at this patch, i.e.
 /// include `ψ_ρ`). Returns the refined region; an empty region means the
-/// patch must be discarded.
+/// patch must be discarded. `calls` accumulates the solver calls charged
+/// against [`RepairConfig::max_refine_calls`].
 pub fn refine_patch(
     sess: &mut Session,
     phi: &[TermId],
     region: &Region,
     sigma: TermId,
-    depth: u32,
     calls: &mut u32,
     config: &RepairConfig,
 ) -> Region {
@@ -410,7 +409,6 @@ pub fn refine_patch(
         phi,
         region,
         sigma,
-        depth,
         calls,
         config,
     )
@@ -426,101 +424,163 @@ pub(crate) fn refine_patch_impl(
     pool: &mut TermPool,
     solver: &mut Solver,
     domains: &Domains,
-    mut frames: Option<&mut FrameSession>,
+    frames: Option<&mut FrameSession>,
     phi: &[TermId],
     region: &Region,
     sigma: TermId,
-    depth: u32,
     calls: &mut u32,
     config: &RepairConfig,
 ) -> Region {
-    if depth >= config.max_refine_depth || *calls >= config.max_refine_calls {
-        // Budget exhausted: keep the region (conservative, mirrors a solver
-        // timeout in the original tool).
-        return region.clone();
-    }
-    let region_term = region.to_term(pool);
-    let not_sigma = pool.not(sigma);
-
-    // ω_pass1 ← φ(X) ∧ σ(X)
-    *calls += 1;
-    if check_query(pool, solver, domains, frames.as_deref_mut(), phi, &[sigma]).is_sat() {
-        // ω_pass2 ← φ ∧ ψ_ρ ∧ T_ρ ∧ σ
-        *calls += 1;
-        if check_query(
-            pool,
-            solver,
-            domains,
-            frames.as_deref_mut(),
-            phi,
-            &[region_term, sigma],
-        )
-        .is_unsat()
-        {
-            // No parameter value in T_ρ can make the spec pass: discard.
-            return Region::empty(region.params().to_vec());
-        }
-    }
-
-    // ω_fail ← φ ∧ ψ_ρ ∧ T_ρ ∧ ¬σ
-    *calls += 1;
-    match check_query(
+    let mut refinement = Refinement {
         pool,
         solver,
         domains,
-        frames.as_deref_mut(),
+        frames,
         phi,
-        &[region_term, not_sigma],
-    ) {
-        SatResult::Sat(model) => {
-            // Extract the counterexample parameter point m_A.
-            let point: Vec<i64> = region
-                .params()
-                .iter()
-                .map(|&p| model.int(p).unwrap_or(0))
-                .collect();
-            if !region.contains_point(&point) && !region.params().is_empty() {
-                // Defensive: a model outside the region (should not happen);
-                // stop refining rather than loop.
-                return region.clone();
-            }
-            let subregions = region.split_at(&point);
-            if subregions.is_empty() {
-                return Region::empty(region.params().to_vec());
-            }
-            let mut kept: Vec<Region> = Vec::with_capacity(subregions.len());
-            for r in subregions {
-                // Guard: only recurse into regions compatible with the path.
-                *calls += 1;
-                let r_term = r.to_term(pool);
-                match check_query(pool, solver, domains, frames.as_deref_mut(), phi, &[r_term]) {
-                    SatResult::Sat(_) | SatResult::Unknown => {
-                        let refined = refine_patch_impl(
-                            pool,
-                            solver,
-                            domains,
-                            frames.as_deref_mut(),
-                            phi,
-                            &r,
-                            sigma,
-                            depth + 1,
-                            calls,
-                            config,
-                        );
-                        if !refined.is_empty() {
-                            kept.push(refined);
-                        }
-                    }
-                    SatResult::Unsat => {
-                        // Cannot reason about this region here; keep it.
-                        kept.push(r);
-                    }
-                }
-            }
-            Region::union(region.params().to_vec(), kept).merged()
+        sigma,
+        calls,
+        config,
+        pass1: None,
+    };
+    refinement.refine(region, 0, None)
+}
+
+/// The state of one top-level [`refine_patch`] call, threaded through its
+/// recursion.
+///
+/// The recursion issues a solver query only when the eager Algorithm 3
+/// would act on its verdict, yet charges `calls` exactly as the eager
+/// version does, so the budget cuts off at the same points and the
+/// returned region is bit-identical (DESIGN.md §4.5, "RefinePatch query
+/// discipline"):
+///
+/// * `ω_pass1 = φ ∧ σ` does not mention the region; it is decided once and
+///   its verdict reused at every level (each level still charges a call).
+/// * The sub-region guard `φ ∧ T_r` is charged before entering the child
+///   but decided only when the child ends without a split — a model of the
+///   child's `ω_pass2` or `ω_fail` is a model of the guard. If the guard
+///   turns out `Unsat`, the eager recursion never entered the child: the
+///   child rolls `calls` back to its entry value and returns `r` unchanged.
+struct Refinement<'a> {
+    pool: &'a mut TermPool,
+    solver: &'a mut Solver,
+    domains: &'a Domains,
+    frames: Option<&'a mut FrameSession>,
+    phi: &'a [TermId],
+    sigma: TermId,
+    calls: &'a mut u32,
+    config: &'a RepairConfig,
+    /// `is_sat()` of ω_pass1, once decided (`Unknown` counts as not sat).
+    pass1: Option<bool>,
+}
+
+impl Refinement<'_> {
+    fn check(&mut self, extras: &[TermId]) -> SatResult {
+        check_query(
+            self.pool,
+            self.solver,
+            self.domains,
+            self.frames.as_deref_mut(),
+            self.phi,
+            extras,
+        )
+    }
+
+    /// Algorithm 3 on `region` at recursion `depth`. `guard` is `Some(T_r)`
+    /// (the region's term) while this call's sub-region guard is charged
+    /// but undecided; `None` at the top level or once a model proved it.
+    fn refine(&mut self, region: &Region, depth: u32, mut guard: Option<TermId>) -> Region {
+        if depth >= self.config.max_refine_depth || *self.calls >= self.config.max_refine_calls {
+            // Budget exhausted: keep the region (conservative, mirrors a solver
+            // timeout in the original tool). The eager guard would have led
+            // here or to the same `r`, with `calls` untouched either way.
+            return region.clone();
         }
-        // No counterexample: the constraint needs no further refinement.
-        SatResult::Unsat | SatResult::Unknown => region.clone(),
+        let entry_calls = *self.calls;
+        let region_term = match guard {
+            Some(t) => t,
+            None => region.to_term(self.pool),
+        };
+        let not_sigma = self.pool.not(self.sigma);
+
+        // ω_pass1 ← φ(X) ∧ σ(X)
+        *self.calls += 1;
+        let pass1 = match self.pass1 {
+            Some(sat) => sat,
+            None => {
+                let sat = self.check(&[self.sigma]).is_sat();
+                self.pass1 = Some(sat);
+                sat
+            }
+        };
+        if pass1 {
+            // ω_pass2 ← φ ∧ ψ_ρ ∧ T_ρ ∧ σ
+            *self.calls += 1;
+            match self.check(&[region_term, self.sigma]) {
+                SatResult::Unsat => {
+                    if self.guard_refutes(guard, entry_calls) {
+                        return region.clone();
+                    }
+                    // No parameter value in T_ρ can make the spec pass: discard.
+                    return Region::empty(region.params().to_vec());
+                }
+                SatResult::Sat(_) => guard = None,
+                SatResult::Unknown => {}
+            }
+        }
+
+        // ω_fail ← φ ∧ ψ_ρ ∧ T_ρ ∧ ¬σ
+        *self.calls += 1;
+        let SatResult::Sat(model) = self.check(&[region_term, not_sigma]) else {
+            // No counterexample: the constraint needs no further refinement.
+            self.guard_refutes(guard, entry_calls);
+            return region.clone();
+        };
+        // Extract the counterexample parameter point m_A.
+        let point: Vec<i64> = region
+            .params()
+            .iter()
+            .map(|&p| model.int(p).unwrap_or(0))
+            .collect();
+        if !region.contains_point(&point) && !region.params().is_empty() {
+            // Defensive: a model outside the region (should not happen);
+            // stop refining rather than loop.
+            self.guard_refutes(guard, entry_calls);
+            return region.clone();
+        }
+        let subregions = region.split_at(&point);
+        if subregions.is_empty() {
+            return Region::empty(region.params().to_vec());
+        }
+        let mut kept: Vec<Region> = Vec::with_capacity(subregions.len());
+        for r in subregions {
+            // Guard: only recurse into regions compatible with the path.
+            // Charged here, decided by the child only if its verdict matters;
+            // a refuted child returns `r` itself ("cannot reason about this
+            // region here; keep it").
+            *self.calls += 1;
+            let r_term = r.to_term(self.pool);
+            let refined = self.refine(&r, depth + 1, Some(r_term));
+            if !refined.is_empty() {
+                kept.push(refined);
+            }
+        }
+        Region::union(region.params().to_vec(), kept).merged()
+    }
+
+    /// Decides a still-pending sub-region guard for a call that ends
+    /// without a split. An `Unsat` guard means the eager recursion never
+    /// entered this call, so `calls` goes back to its entry value and the
+    /// caller must get the region back unchanged.
+    fn guard_refutes(&mut self, guard: Option<TermId>, entry_calls: u32) -> bool {
+        let Some(r_term) = guard else {
+            return false;
+        };
+        if !self.check(&[r_term]).is_unsat() {
+            return false;
+        }
+        *self.calls = entry_calls;
+        true
     }
 }
 
@@ -530,7 +590,7 @@ mod tests {
     use crate::problem::{test_input, RepairProblem};
     use cpr_concolic::{ConcolicExecutor, HolePatch};
     use cpr_lang::{check, parse};
-    use cpr_smt::Sort;
+    use cpr_smt::{Interval, ParamBox, Sort, VarId};
     use cpr_synth::{AbstractPatch, ComponentSet, SynthConfig};
 
     /// The running example of the paper: CVE-2016-3623-style divide by zero
@@ -592,7 +652,7 @@ mod tests {
         let region = Region::full(vec![a_var], -10, 7);
         let phi = run.constraints_for_patch(&mut sess.pool, theta);
         let sigma = run.sigma.unwrap();
-        let refined = refine_patch(&mut sess, &phi, &region, sigma, 0, &mut 0, &config);
+        let refined = refine_patch(&mut sess, &phi, &region, sigma, &mut 0, &config);
         // Partition: ¬(x ≥ a) ∧ x = 4 (from concretization-free path, the
         // partition here is x < a with the x*y = 0 spec): every a > 4 lets
         // x = 4 slip into the division with y = 0 possible... the exact
@@ -669,7 +729,6 @@ mod tests {
             &phi,
             &region,
             run.sigma.unwrap(),
-            0,
             &mut 0,
             &config,
         );
@@ -725,15 +784,7 @@ mod tests {
         let zero = sess.pool.int(0);
         let sigma = sess.pool.ne(x, zero);
         let region = Region::full(vec![a_var], -10, 10);
-        let refined = refine_patch(
-            &mut sess,
-            &contradiction,
-            &region,
-            sigma,
-            0,
-            &mut 0,
-            &config,
-        );
+        let refined = refine_patch(&mut sess, &contradiction, &region, sigma, &mut 0, &config);
         assert_eq!(refined.volume(), region.volume());
     }
 
@@ -761,7 +812,6 @@ mod tests {
             &phi,
             &region,
             run.sigma.unwrap(),
-            0,
             &mut calls,
             &config,
         );
@@ -797,7 +847,7 @@ mod tests {
                 vec![cpr_smt::ParamBox::new(vec![cpr_smt::Interval::point(v)])],
             )
         };
-        let refined = refine_patch(&mut sess, &phi, &point_region(5), sigma, 0, &mut 0, &config);
+        let refined = refine_patch(&mut sess, &phi, &point_region(5), sigma, &mut 0, &config);
         assert!(refined.is_empty());
 
         // Through Algorithm 2, the infeasible patch survives intact.
@@ -934,5 +984,300 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Algorithm 3 as it was before the query discipline of
+    /// [`Refinement`]: every level re-issues ω_pass1 and every sub-region
+    /// guard is decided before the child is entered. The reference the
+    /// deferred recursion must reproduce; counts the guards it finds
+    /// `Unsat` in `refuted_guards`.
+    #[allow(clippy::too_many_arguments)]
+    fn eager_refine(
+        pool: &mut TermPool,
+        solver: &mut Solver,
+        domains: &Domains,
+        mut frames: Option<&mut FrameSession>,
+        phi: &[TermId],
+        region: &Region,
+        sigma: TermId,
+        depth: u32,
+        calls: &mut u32,
+        config: &RepairConfig,
+        refuted_guards: &mut u32,
+    ) -> Region {
+        if depth >= config.max_refine_depth || *calls >= config.max_refine_calls {
+            return region.clone();
+        }
+        let region_term = region.to_term(pool);
+        let not_sigma = pool.not(sigma);
+        macro_rules! check {
+            ($($extra:expr),+) => {
+                check_query(pool, solver, domains, frames.as_deref_mut(), phi, &[$($extra),+])
+            };
+        }
+        *calls += 1;
+        if check!(sigma).is_sat() {
+            *calls += 1;
+            if check!(region_term, sigma).is_unsat() {
+                return Region::empty(region.params().to_vec());
+            }
+        }
+        *calls += 1;
+        let SatResult::Sat(model) = check!(region_term, not_sigma) else {
+            return region.clone();
+        };
+        let point: Vec<i64> = region
+            .params()
+            .iter()
+            .map(|&p| model.int(p).unwrap_or(0))
+            .collect();
+        if !region.contains_point(&point) && !region.params().is_empty() {
+            return region.clone();
+        }
+        let subregions = region.split_at(&point);
+        if subregions.is_empty() {
+            return Region::empty(region.params().to_vec());
+        }
+        let mut kept = Vec::new();
+        for r in subregions {
+            *calls += 1;
+            let r_term = r.to_term(pool);
+            if check!(r_term).is_unsat() {
+                *refuted_guards += 1;
+                kept.push(r);
+                continue;
+            }
+            let refined = eager_refine(
+                pool,
+                solver,
+                domains,
+                frames.as_deref_mut(),
+                phi,
+                &r,
+                sigma,
+                depth + 1,
+                calls,
+                config,
+                refuted_guards,
+            );
+            if !refined.is_empty() {
+                kept.push(refined);
+            }
+        }
+        Region::union(region.params().to_vec(), kept).merged()
+    }
+
+    /// A condition template `θ(u, v, a, b)` over two program inputs and the
+    /// parameters `a`, `b`.
+    type Template = fn(&mut TermPool, TermId, TermId, TermId, TermId) -> TermId;
+
+    /// One RefinePatch problem: a session, a partition re-targeted at a
+    /// template, the specification and a starting region.
+    struct RefineCase {
+        sess: Session,
+        phi: Vec<TermId>,
+        sigma: TermId,
+        region: Region,
+    }
+
+    /// What one refinement leaves behind: the region, the final `calls`,
+    /// the solver queries issued, the pool size and the eager oracle's
+    /// refuted-guard count (0 for the deferred recursion).
+    type RefineOutcome = (Region, u32, u64, usize, u32);
+
+    /// Runs the eager oracle or [`refine_patch_impl`] on a fork of the
+    /// case's session, like a reduce worker does, with or without a frame
+    /// session holding φ.
+    fn refine_on_fork(
+        case: &RefineCase,
+        config: &RepairConfig,
+        use_frames: bool,
+        eager: bool,
+    ) -> RefineOutcome {
+        let mut pool = case.sess.pool.clone();
+        let mut solver = case.sess.solver.fork(pool.len());
+        let domains = &case.sess.domains;
+        let mut frames = use_frames.then(|| {
+            let mut f = solver.open_frames(&pool, domains);
+            for &c in &case.phi {
+                solver.push_frame(&pool, &mut f, c);
+            }
+            f
+        });
+        let before = solver.stats().queries;
+        let mut calls = 0;
+        let mut refuted = 0;
+        let (pool, solver, frames) = (&mut pool, &mut solver, frames.as_mut());
+        let (phi, region, sigma) = (&case.phi, &case.region, case.sigma);
+        let region = if eager {
+            eager_refine(
+                pool,
+                solver,
+                domains,
+                frames,
+                phi,
+                region,
+                sigma,
+                0,
+                &mut calls,
+                config,
+                &mut refuted,
+            )
+        } else {
+            refine_patch_impl(
+                pool, solver, domains, frames, phi, region, sigma, &mut calls, config,
+            )
+        };
+        let queries = solver.stats().queries - before;
+        (region, calls, queries, pool.len(), refuted)
+    }
+
+    /// Builds the refinement cases of `problem`: each template (over the
+    /// parameters `a`, `b`) is run concolically with `a = b = 5` on each
+    /// input, and its partition refined from two starting regions — the
+    /// full box, and an isolated corner box beside a middle one, whose
+    /// sub-region guard is `Unsat` on most partitions.
+    fn refine_cases(
+        problem: &RepairProblem,
+        templates: &[Template],
+        inputs: &[[i64; 2]],
+    ) -> Vec<RefineCase> {
+        let program = &problem.program;
+        let mut cases = Vec::new();
+        for template in templates {
+            for input in inputs {
+                for isolated_corner in [false, true] {
+                    let mut sess = Session::new(problem, &RepairConfig::quick());
+                    let pool = &mut sess.pool;
+                    let input_vars: Vec<VarId> = program
+                        .inputs
+                        .iter()
+                        .map(|d| pool.find_var(&d.name).unwrap())
+                        .collect();
+                    let params = [pool.find_var("a").unwrap(), pool.find_var("b").unwrap()];
+                    let [u, v, a, b] = [input_vars[0], input_vars[1], params[0], params[1]]
+                        .map(|var| pool.var_term(var));
+                    let theta = template(pool, u, v, a, b);
+                    let params: Vec<VarId> = params
+                        .into_iter()
+                        .filter(|&p| pool.vars_of(theta).contains(&p))
+                        .collect();
+                    let mut rep = cpr_smt::Model::new();
+                    let mut input_model = cpr_smt::Model::new();
+                    for &p in &params {
+                        rep.set(p, 5i64);
+                    }
+                    for (&var, &value) in input_vars.iter().zip(input) {
+                        input_model.set(var, value);
+                    }
+                    let hole = HolePatch { theta, params: rep };
+                    let run =
+                        ConcolicExecutor::new().execute(pool, program, &input_model, Some(&hole));
+                    let Some(sigma) = run.spec_term(pool).filter(|_| run.hit_patch) else {
+                        continue;
+                    };
+                    let phi = run.constraints_for_patch(pool, theta);
+                    let dims = params.len();
+                    let boxes = if isolated_corner {
+                        vec![
+                            ParamBox::new(vec![Interval::point(-10); dims]),
+                            ParamBox::new(vec![Interval::of(-3, 7); dims]),
+                        ]
+                    } else {
+                        vec![ParamBox::new(vec![Interval::of(-10, 10); dims])]
+                    };
+                    let region = Region::from_boxes(params, boxes);
+                    cases.push(RefineCase {
+                        sess,
+                        phi,
+                        sigma,
+                        region,
+                    });
+                }
+            }
+        }
+        cases
+    }
+
+    /// The deferred recursion returns the eager Algorithm 3's region and
+    /// leaves `calls` where it left them, for every budget cutoff — calls
+    /// swept so the cut lands mid sibling loop, depths 1–3 and the default
+    /// — with and without a frame session, on the DIV and the
+    /// libtiff-865f7b2-shaped problems; and it never issues more queries.
+    #[test]
+    fn deferred_refinement_matches_the_eager_algorithm() {
+        use crate::synthesize::tests::{asserting_problem, problem};
+        let templates: [Template; 4] = [
+            |p, u, _, a, _| p.ge(u, a),
+            |p, _, v, a, _| p.le(v, a),
+            |p, u, v, a, b| {
+                let (ua, vb) = (p.eq(u, a), p.eq(v, b));
+                p.or(ua, vb)
+            },
+            |p, u, v, a, b| {
+                let (ua, vb) = (p.gt(u, a), p.ge(v, b));
+                p.and(ua, vb)
+            },
+        ];
+        let mut cases = refine_cases(&problem(), &templates, &[[7, 0], [4, 0]]);
+        cases.extend(refine_cases(
+            &asserting_problem(),
+            &templates,
+            &[[3, 2], [-4, 3]],
+        ));
+        // A partition on which the spec can never pass (ω_pass1 Unsat):
+        // x ≥ a ∧ x > 5 with σ = x < 0.
+        let mut sess = Session::new(&problem(), &RepairConfig::quick());
+        let x = sess.pool.find_var("x").unwrap();
+        let x = sess.pool.var_term(x);
+        let a_var = sess.pool.find_var("a").unwrap();
+        let a = sess.pool.var_term(a_var);
+        let (zero, five) = (sess.pool.int(0), sess.pool.int(5));
+        let phi = vec![sess.pool.ge(x, a), sess.pool.gt(x, five)];
+        let sigma = sess.pool.lt(x, zero);
+        cases.push(RefineCase {
+            sess,
+            phi,
+            sigma,
+            region: Region::full(vec![a_var], -10, 10),
+        });
+        assert!(cases.len() >= 20, "only {} cases", cases.len());
+
+        let (mut eager_queries, mut deferred_queries, mut refuted_guards) = (0, 0, 0);
+        for (i, case) in cases.iter().enumerate() {
+            for max_refine_depth in [1, 2, 3, RepairConfig::quick().max_refine_depth] {
+                for max_refine_calls in 1..=40 {
+                    let config = RepairConfig {
+                        max_refine_depth,
+                        max_refine_calls,
+                        ..RepairConfig::quick()
+                    };
+                    // Both frame modes on every case, alternating along the sweep.
+                    let use_frames = (i + max_refine_calls as usize).is_multiple_of(2);
+                    let eager = refine_on_fork(case, &config, use_frames, true);
+                    let deferred = refine_on_fork(case, &config, use_frames, false);
+                    let at = format!(
+                        "case {i}, frames {use_frames}, depth {max_refine_depth}, \
+                         calls {max_refine_calls}"
+                    );
+                    assert_eq!(eager.0, deferred.0, "region differs at {at}");
+                    assert_eq!(eager.1, deferred.1, "calls differ at {at}");
+                    assert!(deferred.2 <= eager.2, "more queries at {at}");
+                    assert_eq!(eager.3, deferred.3, "pool size differs at {at}");
+                    eager_queries += eager.2;
+                    deferred_queries += deferred.2;
+                    refuted_guards += eager.4;
+                    if eager.1 < max_refine_calls {
+                        // The budget never bound: larger ones change nothing.
+                        break;
+                    }
+                }
+            }
+        }
+        assert!(refuted_guards > 0, "no deferred guard was ever Unsat");
+        assert!(
+            deferred_queries < eager_queries,
+            "no query saved: {deferred_queries} vs {eager_queries}"
+        );
     }
 }

@@ -209,7 +209,6 @@ fn validate_candidate(
                         &phi,
                         &patch.constraint,
                         sigma,
-                        0,
                         &mut 0,
                         config,
                     );
@@ -254,7 +253,7 @@ fn validate_candidate(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::problem::{test_input, RepairProblem};
     use cpr_lang::{check, parse};
@@ -268,7 +267,7 @@ mod tests {
         return 100 / (x * y);
       }";
 
-    fn problem() -> RepairProblem {
+    pub(crate) fn problem() -> RepairProblem {
         let program = parse(DIV_SRC).unwrap();
         check(&program).unwrap();
         RepairProblem::new(
@@ -288,7 +287,7 @@ mod tests {
     /// A subject with one failing and two passing tests whose oracles are
     /// assertions (the ManyBugs libtiff-865f7b2 shape): validation runs
     /// failing and passing branches and refines against both.
-    fn asserting_problem() -> RepairProblem {
+    pub(crate) fn asserting_problem() -> RepairProblem {
         let program = parse(
             "program libtiff_865f7b2 {
                input flags in [-10, 10];

@@ -6,8 +6,9 @@
 //! 1. **Warm resume** — 8 concurrent jobs on a 4-worker scheduler versus
 //!    the same 8 jobs run sequentially with direct `repair()` calls. The
 //!    headline number is the win from durable checkpoint reuse, not raw
-//!    scheduler throughput (this container has 1 CPU, recorded honestly
-//!    in the output, as every BENCH_*.json here does): each submitted job
+//!    scheduler throughput (the CPU count is recorded in the output, and
+//!    a config row with more workers than CPUs is marked
+//!    `"comparable": false`, its speedup written `null`): each submitted job
 //!    names, via the protocol's explicit `resume_from` field, a
 //!    checkpoint near completion that an earlier run parked in the
 //!    snapshot store, while the sequential baseline recomputes every run
@@ -46,6 +47,26 @@ use cpr_serve::{
     JobSpec, JobState, Scheduler, SnapshotStore,
 };
 use cpr_subjects::all_subjects;
+
+/// Scheduler workers behind both servers of the many-connections scenario.
+const CONN_WORKERS: usize = 1;
+
+/// Whether a row timed with `workers` scheduler workers on `cpus` CPUs
+/// times the configuration rather than oversubscription — the rule
+/// `cpr_bench::comparable` applies to thread counts.
+fn comparable(workers: usize, cpus: usize) -> bool {
+    workers <= cpus
+}
+
+/// A ratio as a JSON value: two decimals, or `null` when it is derived
+/// from a non-comparable row.
+fn json_ratio(ratio: f64, comparable: bool) -> String {
+    if comparable {
+        format!("{ratio:.2}")
+    } else {
+        "null".to_owned()
+    }
+}
 
 fn specs(jobs: usize, max_iterations: usize) -> Vec<JobSpec> {
     let subjects = all_subjects();
@@ -378,13 +399,17 @@ fn main() {
 
     // Serving-tier throughput: identical connection-churn load against
     // the epoll event loop and the thread-per-connection baseline.
-    let epoll_handle =
-        serve_tcp("127.0.0.1:0", Scheduler::new(1, temp_store("epoll"))).expect("serve_tcp");
+    let epoll_handle = serve_tcp(
+        "127.0.0.1:0",
+        Scheduler::new(CONN_WORKERS, temp_store("epoll")),
+    )
+    .expect("serve_tcp");
     let epoll = many_conn_load(epoll_handle.addr(), conn_clients, conn_rounds);
     epoll_handle.stop();
     epoll_handle.join();
 
-    let baseline_server = BaselineServer::start(Scheduler::new(1, temp_store("baseline")));
+    let baseline_server =
+        BaselineServer::start(Scheduler::new(CONN_WORKERS, temp_store("baseline")));
     let baseline = many_conn_load(baseline_server.addr, conn_clients, conn_rounds);
     baseline_server.shutdown();
 
@@ -441,40 +466,49 @@ fn main() {
     let _ = writeln!(json, "  \"configs\": [");
     let _ = writeln!(
         json,
-        "    {{\"label\": \"sequential-cold-direct\", \"workers\": 1, \"millis\": {:.1}}},",
+        "    {{\"label\": \"sequential-cold-direct\", \"workers\": 1, \"comparable\": {}, \
+         \"millis\": {:.1}}},",
+        comparable(1, cpus),
         sequential.millis
     );
     let _ = writeln!(
         json,
-        "    {{\"label\": \"served-warm-resume\", \"workers\": {workers}, \"millis\": {:.1}}}",
+        "    {{\"label\": \"served-warm-resume\", \"workers\": {workers}, \"comparable\": {}, \
+         \"millis\": {:.1}}}",
+        comparable(workers, cpus),
         served.millis
     );
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"warm_resume_speedup_vs_cold_sequential\": {speedup:.2},"
+        "  \"warm_resume_speedup_vs_cold_sequential\": {},",
+        json_ratio(speedup, comparable(workers, cpus))
     );
     let _ = writeln!(json, "  \"many_connections\": {{");
     let _ = writeln!(json, "    \"clients\": {conn_clients},");
     let _ = writeln!(json, "    \"rounds_per_client\": {conn_rounds},");
     let _ = writeln!(json, "    \"requests\": {},", epoll.requests);
     let _ = writeln!(json, "    \"configs\": [");
+    let conn_comparable = comparable(CONN_WORKERS, cpus);
     let _ = writeln!(
         json,
-        "      {{\"label\": \"epoll-event-loop\", \"rps\": {:.1}, \"p50_ms\": {:.2}, \
+        "      {{\"label\": \"epoll-event-loop\", \"workers\": {CONN_WORKERS}, \
+         \"comparable\": {conn_comparable}, \"rps\": {:.1}, \"p50_ms\": {:.2}, \
          \"p99_ms\": {:.2}}},",
         epoll.rps, epoll.p50_ms, epoll.p99_ms
     );
     let _ = writeln!(
         json,
-        "      {{\"label\": \"thread-per-connection-baseline\", \"rps\": {:.1}, \
-         \"p50_ms\": {:.2}, \"p99_ms\": {:.2}}}",
+        "      {{\"label\": \"thread-per-connection-baseline\", \"workers\": {CONN_WORKERS}, \
+         \"comparable\": {conn_comparable}, \"rps\": {:.1}, \"p50_ms\": {:.2}, \
+         \"p99_ms\": {:.2}}}",
         baseline.rps, baseline.p50_ms, baseline.p99_ms
     );
     let _ = writeln!(json, "    ],");
     let _ = writeln!(
         json,
-        "    \"epoll_speedup_vs_thread_per_connection\": {conn_speedup:.2}"
+        "    \"epoll_speedup_vs_thread_per_connection\": {}",
+        json_ratio(conn_speedup, conn_comparable)
     );
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");

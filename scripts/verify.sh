@@ -26,6 +26,9 @@ fi
 echo "==> tier-1: release build"
 cargo build --release
 
+echo "==> benchmark build: cargo check bench_e2e (its own Cargo workspace, so no step above compiles it)"
+cargo check --offline --manifest-path bench_e2e/Cargo.toml
+
 echo "==> tier-1: tests"
 cargo test -q
 
