@@ -6,11 +6,10 @@
 //!
 //! The subject nests branches under implied guards (`x > 0` implies
 //! `x > -5`), so many flipped prefixes have UNSAT patch-free skeletons:
-//! exactly the pattern the UNSAT-prefix store turns into subset checks.
+//! exactly the pattern the skeleton check refutes with one query per flip.
 //! Each round restarts the prefix-dedup set (as a fresh path exploration
-//! would) while the store and cache persist — the steady state of the
-//! repair loop, where later iterations re-derive refutations the store
-//! already holds.
+//! would) while the cache persists — the steady state of the repair loop,
+//! where later iterations re-derive refutations the cache already holds.
 //!
 //! Writes `BENCH_expand.json` into the current directory (the repo root
 //! when run via `cargo run -p cpr-bench --bin bench_expand`).
@@ -80,8 +79,7 @@ fn build_pool(
     // exists, but interval propagation cannot see parity, so each probe
     // deterministically exhausts the node budget: the expensive *recurring*
     // query shape the shared cache exists for (a capped `Unknown` is
-    // deterministic and cacheable, and never enters the UNSAT-prefix
-    // store).
+    // deterministic and cacheable).
     let two = sess.pool.int(2);
     for c in 0..5i64 {
         let xy = sess.pool.mul(x, y);
@@ -190,7 +188,6 @@ struct Outcome {
     queries: u64,
     cache_hits: u64,
     cache_misses: u64,
-    short_circuits: u64,
     base_unsat_skips: u64,
     model_reuse_hits: u64,
     paths_skipped: usize,
@@ -233,7 +230,7 @@ fn run_config(label: &str, threads: usize, cache_capacity: usize, rounds: usize)
     let start = Instant::now();
     for _ in 0..rounds {
         // A fresh dedup set per round (as each new explored path would
-        // have); the UNSAT-prefix store and the solver cache persist.
+        // have); the solver cache persists.
         let mut seen = SeenPrefixes::new();
         for run in &runs {
             let out = expand(&mut sess, &entries, run, &mut seen, &config);
@@ -263,7 +260,6 @@ fn run_config(label: &str, threads: usize, cache_capacity: usize, rounds: usize)
         queries: solver_stats.queries,
         cache_hits: solver_stats.cache_hits,
         cache_misses: solver_stats.cache_misses,
-        short_circuits: agg(|s| s.prefix_short_circuits),
         base_unsat_skips: agg(|s| s.base_unsat_skips),
         model_reuse_hits: agg(|s| s.model_reuse_hits),
         paths_skipped,
@@ -273,7 +269,7 @@ fn run_config(label: &str, threads: usize, cache_capacity: usize, rounds: usize)
     eprintln!(
         "[bench_expand] {label}: {} expand calls, {:.0} ms, {} queries \
          ({} sat / {} unsat / {} unknown, {} nodes), {} hits / {} misses, \
-         {} short-circuits, {} skeleton skips, {} model reuses, \
+         {} skeleton skips, {} model reuses, \
          {} candidates, {} skips, {} flips",
         out.stats.len(),
         millis,
@@ -284,7 +280,6 @@ fn run_config(label: &str, threads: usize, cache_capacity: usize, rounds: usize)
         solver_stats.nodes,
         out.cache_hits,
         out.cache_misses,
-        out.short_circuits,
         out.base_unsat_skips,
         out.model_reuse_hits,
         out.candidates,
@@ -310,10 +305,9 @@ fn main() {
     let serial_cache = run_config("serial-cache", 1, cache, rounds);
     let parallel_cache = run_config("parallel-cache", par_threads, cache, rounds);
 
-    // Bit-identical outcomes across all configurations (the cache, the
-    // worker pool and the UNSAT-prefix store are semantically transparent;
-    // the per-call stats include solver-call and short-circuit counts, so
-    // this also pins the query stream itself).
+    // Bit-identical outcomes across all configurations (the cache and the
+    // worker pool are semantically transparent; the per-call stats include
+    // solver-call counts, so this also pins the query stream itself).
     for other in [&serial_cache, &parallel_cache] {
         assert_eq!(
             serial_nocache.stats, other.stats,
@@ -326,14 +320,6 @@ fn main() {
             other.label
         );
         assert_eq!(serial_nocache.queries, other.queries);
-    }
-    // The store only short-circuits on prefixes re-derived in a *later*
-    // round, so this validity check needs the multi-round workload.
-    if rounds >= 2 {
-        assert!(
-            serial_nocache.short_circuits > 0,
-            "benchmark must exercise the UNSAT-prefix store"
-        );
     }
     assert!(
         serial_nocache.base_unsat_skips > 0,
@@ -363,11 +349,6 @@ fn main() {
         json,
         "  \"paths_skipped\": {},",
         serial_nocache.paths_skipped
-    );
-    let _ = writeln!(
-        json,
-        "  \"prefix_short_circuits\": {},",
-        serial_nocache.short_circuits
     );
     let _ = writeln!(
         json,

@@ -1,8 +1,6 @@
 //! Reduce-phase benchmark: serial vs parallel `reduce` (Algorithm 2) with
-//! and without the memoizing solver cache and the incremental-solving
-//! subsystem (assertion frames + no-good learning + batched candidate
-//! checking), on a pool of 500+ abstract patches walked over repeated
-//! partitions — the access pattern of the repair loop, where later
+//! and without the memoizing solver cache, on a pool of 500+ abstract
+//! patches walked over repeated partitions — the access pattern of the repair loop, where later
 //! iterations revisit paths whose queries the cache already answered.
 //!
 //! Writes `BENCH_reduce.json` into the current directory (the repo root
@@ -11,10 +9,9 @@
 //! Every configuration must produce the *same* pool and statistics — the
 //! benchmark asserts bit-identical outcomes before reporting timings.
 //!
-//! `--check` runs the same five configurations on a reduced workload and
+//! `--check` runs the same three configurations on a reduced workload and
 //! only performs the identity assertions (no timing claims, no JSON): the
-//! CI-sized proof that caching, threading, and the incremental knobs are
-//! all semantically transparent.
+//! CI-sized proof that caching and threading are semantically transparent.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -141,17 +138,12 @@ struct Outcome {
     label: String,
     threads: usize,
     cache_capacity: usize,
-    incremental: bool,
     millis: f64,
     stats: Vec<ReduceStats>,
     pool_after: usize,
     queries: u64,
     cache_hits: u64,
     cache_misses: u64,
-    frames_pushed: u64,
-    trail_restores: u64,
-    nogood_hits: u64,
-    batched_queries: u64,
     solve_mean_nanos: u64,
     solve_p50_nanos: u64,
     solve_p90_nanos: u64,
@@ -178,7 +170,6 @@ fn run_config(
     label: &str,
     threads: usize,
     cache_capacity: usize,
-    incremental: bool,
     rounds: usize,
     pool_target: usize,
 ) -> Outcome {
@@ -197,12 +188,6 @@ fn run_config(
     let mut config = RepairConfig::quick();
     config.threads = threads;
     config.solver.cache_capacity = cache_capacity;
-    // The baseline configurations disable the whole incremental subsystem
-    // (frames, no-goods, batching) so their timings measure the historical
-    // per-query-from-scratch code path honestly.
-    config.solver.incremental = incremental;
-    config.solver.batch_candidates = incremental;
-    config.solver.nogood_capacity = if incremental { 512 } else { 0 };
     // Bound the per-query search: the nonlinear spec makes single queries
     // arbitrarily hard for branch-and-prune, and a budget-capped verdict
     // (`Unknown`) is still deterministic and cacheable.
@@ -259,33 +244,25 @@ fn run_config(
     }
     eprintln!(
         "[bench_reduce] {label}: pool {pool_size} -> {}, {} reduce calls, {:.0} ms, \
-         {} queries, {} hits / {} misses, {} frames, {} nogood hits, \
-         mean solve {:.1} us",
+         {} queries, {} hits / {} misses, mean solve {:.1} us",
         entries.len(),
         stats.len(),
         millis,
         solver_stats.queries,
         solver_stats.cache_hits,
         solver_stats.cache_misses,
-        solver_stats.frames_pushed,
-        solver_stats.nogood_hits,
         solve_mean_nanos as f64 / 1e3
     );
     Outcome {
         label: label.to_owned(),
         threads,
         cache_capacity,
-        incremental,
         millis,
         stats,
         pool_after: entries.len(),
         queries: solver_stats.queries,
         cache_hits: solver_stats.cache_hits,
         cache_misses: solver_stats.cache_misses,
-        frames_pushed: solver_stats.frames_pushed,
-        trail_restores: solver_stats.trail_restores,
-        nogood_hits: solver_stats.nogood_hits,
-        batched_queries: solver_stats.batched_queries,
         solve_mean_nanos,
         solve_p50_nanos,
         solve_p90_nanos,
@@ -311,35 +288,13 @@ fn main() {
     let par_threads = cpus.max(4);
     let cache = 1 << 15;
 
-    let serial_nocache = run_config("serial-nocache", 1, 0, false, rounds, pool_target);
-    let serial_cache = run_config("serial-cache", 1, cache, false, rounds, pool_target);
-    let parallel_cache = run_config(
-        "parallel-cache",
-        par_threads,
-        cache,
-        false,
-        rounds,
-        pool_target,
-    );
-    let serial_incremental = run_config("serial-incremental", 1, cache, true, rounds, pool_target);
-    let parallel_incremental = run_config(
-        "parallel-incremental",
-        par_threads,
-        cache,
-        true,
-        rounds,
-        pool_target,
-    );
+    let serial_nocache = run_config("serial-nocache", 1, 0, rounds, pool_target);
+    let serial_cache = run_config("serial-cache", 1, cache, rounds, pool_target);
+    let parallel_cache = run_config("parallel-cache", par_threads, cache, rounds, pool_target);
 
-    // Bit-identical outcomes across all configurations (the cache, the
-    // worker pool, and the incremental subsystem are all semantically
-    // transparent).
-    for other in [
-        &serial_cache,
-        &parallel_cache,
-        &serial_incremental,
-        &parallel_incremental,
-    ] {
+    // Bit-identical outcomes across all configurations (the cache and the
+    // worker pool are semantically transparent).
+    for other in [&serial_cache, &parallel_cache] {
         assert_eq!(
             serial_nocache.stats, other.stats,
             "ReduceStats diverged in {}",
@@ -359,7 +314,7 @@ fn main() {
 
     if check_mode {
         println!(
-            "bench_reduce --check: 5 configs x {} reduce calls on a {}-entry pool: \
+            "bench_reduce --check: 3 configs x {} reduce calls on a {}-entry pool: \
              identical stats, pools, and query counts",
             serial_nocache.stats.len(),
             pool_target
@@ -370,8 +325,7 @@ fn main() {
     // Speedups only from comparable rows: a 4-thread row timed on fewer
     // CPUs measures oversubscription and is reported as `null`.
     let speedup_of = |o: &Outcome| speedup(serial_nocache.millis, o.millis, o.threads, cpus);
-    let speedup_incremental = speedup_of(&serial_incremental);
-    let speedup_parallel_incremental = speedup_of(&parallel_incremental);
+    let speedup_serial_cache = speedup_of(&serial_cache);
     let speedup_parallel_cache = speedup_of(&parallel_cache);
     let hit_rate = parallel_cache.cache_hits as f64
         / (parallel_cache.cache_hits + parallel_cache.cache_misses).max(1) as f64;
@@ -389,35 +343,23 @@ fn main() {
     let _ = writeln!(json, "  \"cpus\": {cpus},");
     let _ = writeln!(json, "  \"identical_outcomes\": true,");
     let _ = writeln!(json, "  \"configs\": [");
-    let outs = [
-        &serial_nocache,
-        &serial_cache,
-        &parallel_cache,
-        &serial_incremental,
-        &parallel_incremental,
-    ];
+    let outs = [&serial_nocache, &serial_cache, &parallel_cache];
     for (i, o) in outs.iter().enumerate() {
         let comma = if i + 1 < outs.len() { "," } else { "" };
         let _ = writeln!(
             json,
             "    {{\"label\": \"{}\", \"threads\": {}, \"cache_capacity\": {}, \
-             \"incremental\": {}, \"millis\": {:.1}, \"solver_queries\": {}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"frames_pushed\": {}, \
-             \"trail_restores\": {}, \"nogood_hits\": {}, \"batched_queries\": {}, \
+             \"millis\": {:.1}, \"solver_queries\": {}, \
+             \"cache_hits\": {}, \"cache_misses\": {}, \
              \"solve_mean_nanos\": {}, \"solve_p50_nanos\": {}, \
              \"solve_p90_nanos\": {}, \"solve_p99_nanos\": {}, \"comparable\": {}}}{comma}",
             o.label,
             o.threads,
             o.cache_capacity,
-            o.incremental,
             o.millis,
             o.queries,
             o.cache_hits,
             o.cache_misses,
-            o.frames_pushed,
-            o.trail_restores,
-            o.nogood_hits,
-            o.batched_queries,
             o.solve_mean_nanos,
             o.solve_p50_nanos,
             o.solve_p90_nanos,
@@ -428,13 +370,8 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"speedup_serial_incremental_vs_serial_nocache\": {},",
-        json_speedup(speedup_incremental)
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_parallel_incremental_vs_serial_nocache\": {},",
-        json_speedup(speedup_parallel_incremental)
+        "  \"speedup_serial_cache_vs_serial_nocache\": {},",
+        json_speedup(speedup_serial_cache)
     );
     let _ = writeln!(
         json,
@@ -447,14 +384,14 @@ fn main() {
     std::fs::write("BENCH_reduce.json", &json).expect("write BENCH_reduce.json");
     println!("{json}");
     println!(
-        "reduce phase: {:.1} ms serial/no-cache vs {:.1} ms serial-incremental \
-         (speedup {}) vs {:.1} ms parallel-incremental \
+        "reduce phase: {:.1} ms serial/no-cache vs {:.1} ms serial-cache \
+         (speedup {}) vs {:.1} ms parallel-cache \
          (speedup {}, {} threads on {cpus} cpu(s))",
         serial_nocache.millis,
-        serial_incremental.millis,
-        json_speedup(speedup_incremental),
-        parallel_incremental.millis,
-        json_speedup(speedup_parallel_incremental),
-        parallel_incremental.threads
+        serial_cache.millis,
+        json_speedup(speedup_serial_cache),
+        parallel_cache.millis,
+        json_speedup(speedup_parallel_cache),
+        parallel_cache.threads
     );
 }

@@ -15,9 +15,8 @@
 //! stays meaningful), the patch pool entries with their parameter-
 //! constraint regions and ranking evidence, the input queue in internal
 //! heap order (preserving the pop order of tied candidates), both
-//! seen-prefix sets, the UNSAT-prefix store in FIFO order, the anytime
-//! history, coverage partitions, all counters, and the accumulated solver
-//! statistics.
+//! seen-prefix sets, the anytime history, coverage partitions, all
+//! counters, and the accumulated solver statistics.
 //!
 //! # What a snapshot deliberately omits
 //!
@@ -38,7 +37,7 @@ use std::time::Instant;
 
 use cpr_concolic::{CandidateInput, HolePatch, InputQueue, SeenPrefixes};
 use cpr_smt::wire::{self, ByteReader, ByteWriter, WireError};
-use cpr_smt::{Model, Region, TermId, TermPool, VarId};
+use cpr_smt::{Model, Region, SolverStats, TermId, TermPool, VarId};
 use cpr_synth::AbstractPatch;
 
 use crate::expand::expand;
@@ -52,19 +51,21 @@ use crate::synthesize::build_patch_pool;
 /// Leading magic of every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"CPRS";
 /// Current snapshot format version. Bumped to 2 when `SolverStats` gained
-/// the incremental-solving counters (frames, trail restores, no-goods,
-/// batched queries), to 3 when it gained the fleet-cache counters (hits,
-/// misses, no-good hits, stores, load errors) — each change altered the
-/// embedded stats codec shape — and to 4 when the payload gained the
-/// injected-inputs log ([`RepairDriver::inject_input`]), and to 5 when it
-/// dropped the static-screen query counter along with the screen.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// the assertion-frame and no-good counters, to 3 when it gained the
+/// fleet-cache counters — each change altered the embedded stats codec
+/// shape — to 4 when the payload gained the injected-inputs log
+/// ([`RepairDriver::inject_input`]), to 5 when it dropped the
+/// static-screen query counter along with the screen, and to 6 when it
+/// dropped the expansion UNSAT-prefix store and the six frame, no-good and
+/// prefix counters along with those mechanisms.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Oldest snapshot format version [`RepairDriver::resume`] still loads.
 /// Version 3 predates the injected-inputs log; such snapshots load with an
 /// empty injection log (there was nothing to inject back then). Versions 3
-/// and 4 carry a static-screen query counter, which is read and discarded.
-/// Older snapshots re-encode as the current version.
+/// and 4 carry a static-screen query counter, and versions 3–5 the
+/// UNSAT-prefix store and six more solver counters; all of these are read
+/// and discarded. Older snapshots re-encode as the current version.
 pub const MIN_SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be loaded. Loading never panics: every
@@ -445,9 +446,9 @@ impl RepairDriver {
         }
 
         // Expansion: generational search with path reduction, fanned out
-        // over the worker pool with incremental prefix solving (see
-        // [`crate::expand`]). Candidates arrive in the serial flip order,
-        // so the input queue evolves bit-identically at any thread count.
+        // over the worker pool (see [`crate::expand`]). Candidates arrive
+        // in the serial flip order, so the input queue evolves
+        // bit-identically at any thread count.
         let expansion = {
             let _sp = cpr_obs::span!(obs.registry, "expand.phase");
             let timer = obs.expand_nanos.start();
@@ -619,7 +620,6 @@ impl RepairDriver {
         let mut p = ByteWriter::new();
         self.sess.pool.write_wire(&mut p);
         wire::write_solver_stats(&mut p, &self.sess.solver.stats());
-        wire::write_unsat_prefix_store(&mut p, &self.sess.unsat_prefixes);
 
         p.usize(self.entries.len());
         for e in &self.entries {
@@ -739,8 +739,11 @@ impl RepairDriver {
         let pool = TermPool::read_wire(&mut p)?;
         let terms = pool.len();
         let vars = pool.var_count();
-        let stats = wire::read_solver_stats(&mut p)?;
-        let unsat_prefixes = wire::read_unsat_prefix_store(&mut p, terms)?;
+        let stats = if version <= 5 {
+            read_v5_solver_stats(&mut p, terms)?
+        } else {
+            wire::read_solver_stats(&mut p)?
+        };
 
         // Sequence counts feeding `Vec::with_capacity` are read through
         // `seq_len` with each element's minimum encoded size, so a corrupt
@@ -880,7 +883,6 @@ impl RepairDriver {
         }
         sess.pool = pool;
         sess.solver.restore_stats(stats);
-        sess.unsat_prefixes = unsat_prefixes;
 
         Ok(RepairDriver {
             problem,
@@ -907,6 +909,47 @@ impl RepairDriver {
             injected,
         })
     }
+}
+
+/// Reads the solver statistics of a version 3–5 snapshot and the
+/// UNSAT-prefix store that followed them, keeping only the counters that
+/// still exist. The six dropped counters (prefix short-circuits, frames
+/// pushed, trail restores, no-good hits, batched queries, fleet no-good
+/// hits) and the store are validated as they are read, then discarded.
+fn read_v5_solver_stats(p: &mut ByteReader<'_>, terms: usize) -> Result<SolverStats, WireError> {
+    let mut stats = SolverStats {
+        queries: p.u64("stats queries")?,
+        sat: p.u64("stats sat")?,
+        unsat: p.u64("stats unsat")?,
+        unknown: p.u64("stats unknown")?,
+        nodes: p.u64("stats nodes")?,
+        cache_hits: p.u64("stats cache hits")?,
+        cache_misses: p.u64("stats cache misses")?,
+        ..SolverStats::default()
+    };
+    for what in [
+        "stats prefix short circuits",
+        "stats frames pushed",
+        "stats trail restores",
+        "stats nogood hits",
+        "stats batched queries",
+    ] {
+        p.u64(what)?;
+    }
+    stats.fleet_hits = p.u64("stats fleet hits")?;
+    stats.fleet_misses = p.u64("stats fleet misses")?;
+    p.u64("stats fleet nogood hits")?;
+    stats.fleet_stores = p.u64("stats fleet stores")?;
+    stats.fleet_load_errors = p.u64("stats fleet load errors")?;
+    p.len("prefix store capacity")?;
+    // Min entry: 8-byte constraint count + 8-byte fingerprint.
+    for _ in 0..p.seq_len("prefix store entries", 16)? {
+        for _ in 0..p.seq_len("prefix store query", 4)? {
+            wire::read_term_id(p, terms, "prefix store constraint")?;
+        }
+        p.u64("prefix store fingerprint")?;
+    }
+    Ok(stats)
 }
 
 /// Validates a snapshot's header (magic, format version, subject digest)
@@ -1121,11 +1164,10 @@ mod tests {
         let mut p = ByteWriter::new();
         p.u64(0); // term pool: no variables
         p.u64(0); // term pool: no terms
-        for _ in 0..17 {
+        for _ in 0..11 {
             p.u64(0); // solver stats
         }
-        p.u64(0); // unsat store capacity
-        p.u64(u64::MAX / 2); // unsat store entries: absurd
+        p.u64(u64::MAX / 2); // pool entries: absurd
         let payload = p.into_bytes();
         let mut w = ByteWriter::new();
         w.raw(SNAPSHOT_MAGIC);
@@ -1249,14 +1291,22 @@ mod tests {
         );
     }
 
-    /// Rebuilds a current-version snapshot with no injections as an older
-    /// wire image. The payload ends with explore and elapsed nanos (u64
-    /// each), the stop tag (u8) and the injection count (u64, zero here).
-    /// Versions 3 and 4 carried a static-screen query counter (u64) right
-    /// before those 25 bytes; version 3 also lacked the injection count.
+    /// Rebuilds a current-version snapshot of `d` with no injections as an
+    /// older wire image.
+    ///
+    /// * Versions 3–5 carried 17 solver counters instead of 11 — six frame,
+    ///   no-good and prefix counters sat after `cache_misses` and after
+    ///   `fleet_misses` — followed by the UNSAT-prefix store: capacity, then
+    ///   its sorted-id queries. The fixture fills both with nonzero values.
+    /// * The payload ends with explore and elapsed nanos (u64 each), the
+    ///   stop tag (u8) and the injection count (u64, zero here). Versions 3
+    ///   and 4 carried a static-screen query counter (u64) right before
+    ///   those 25 bytes; version 3 also lacked the injection count.
+    ///
     /// Re-stamping version + length + checksum then reproduces the old
     /// format byte-for-byte.
-    fn downgrade(snap: &[u8], version: u32, queries_screened: u64) -> Vec<u8> {
+    fn downgrade(d: &RepairDriver, version: u32, queries_screened: u64) -> Vec<u8> {
+        let snap = d.snapshot();
         let plen = u64::from_le_bytes(snap[16..24].try_into().unwrap()) as usize;
         let payload = &snap[24..24 + plen];
         assert_eq!(
@@ -1264,10 +1314,40 @@ mod tests {
             &0u64.to_le_bytes(),
             "fixture requires an empty injection log"
         );
-        let tail = plen - 25;
-        let mut old = payload[..tail].to_vec();
-        old.extend_from_slice(&queries_screened.to_le_bytes());
-        old.extend_from_slice(&payload[tail..]);
+        let mut pool_bytes = ByteWriter::new();
+        d.sess.pool.write_wire(&mut pool_bytes);
+        let stats_at = pool_bytes.into_bytes().len();
+        let counter = |i: usize| &payload[stats_at + 8 * i..stats_at + 8 * (i + 1)];
+        let mut old = payload[..stats_at].to_vec();
+        for i in 0..7 {
+            old.extend_from_slice(counter(i));
+        }
+        // prefix short-circuits, frames pushed, trail restores, no-good
+        // hits, batched queries
+        for dropped in [3u64, 41, 97, 5, 60] {
+            old.extend_from_slice(&dropped.to_le_bytes());
+        }
+        old.extend_from_slice(counter(7)); // fleet hits
+        old.extend_from_slice(counter(8)); // fleet misses
+        old.extend_from_slice(&2u64.to_le_bytes()); // fleet no-good hits
+        old.extend_from_slice(counter(9)); // fleet stores
+        old.extend_from_slice(counter(10)); // fleet load errors
+        let mut store = ByteWriter::new();
+        store.usize(512);
+        store.usize(2);
+        for (ids, fingerprint) in [(&[0u32, 3][..], 0xfeed_u64), (&[1, 2, 4], 0xbeef)] {
+            store.usize(ids.len());
+            for &id in ids {
+                store.u32(id); // a term id
+            }
+            store.u64(fingerprint);
+        }
+        old.extend_from_slice(&store.into_bytes());
+        old.extend_from_slice(&payload[stats_at + 88..]);
+        if version <= 4 {
+            let tail = old.len() - 25;
+            old.splice(tail..tail, queries_screened.to_le_bytes());
+        }
         if version == 3 {
             old.truncate(old.len() - 8);
         }
@@ -1289,11 +1369,56 @@ mod tests {
     }
 
     #[test]
+    fn resume_accepts_a_version_5_snapshot_and_discards_its_prefix_store() {
+        let mut d = RepairDriver::new(problem(), config());
+        d.step();
+        d.step();
+        let v5 = downgrade(&d, 5, 0);
+        assert_eq!(u32::from_le_bytes(v5[4..8].try_into().unwrap()), 5);
+        assert!(check_snapshot_header(&problem(), &v5).is_ok());
+        let mut r = RepairDriver::resume(problem(), config(), &v5).unwrap();
+        // The kept counters survive; re-snapshotting writes the current
+        // version, without the store and the dropped counters.
+        assert_eq!(r.sess.solver.stats().queries, d.sess.solver.stats().queries);
+        assert_eq!(r.snapshot(), d.snapshot());
+        while d.step() == StepStatus::Running {}
+        while r.step() == StepStatus::Running {}
+        assert_eq!(report_key(d.finish()), report_key(r.finish()));
+    }
+
+    #[test]
+    fn resume_rejects_a_version_5_prefix_store_naming_an_unknown_term() {
+        let mut d = RepairDriver::new(problem(), config());
+        d.step();
+        let terms = d.sess.pool.len() as u32;
+        let v5 = downgrade(&d, 5, 0);
+        // Re-point the store's last constraint id (4) past the pool: the
+        // checksum is recomputed, so only the id validation can object.
+        let plen = u64::from_le_bytes(v5[16..24].try_into().unwrap()) as usize;
+        let mut payload = v5[24..24 + plen].to_vec();
+        let last_id = 4u32.to_le_bytes();
+        let at = payload
+            .windows(12)
+            .position(|w| w[..4] == last_id && w[4..] == 0xbeef_u64.to_le_bytes())
+            .expect("fixture store entry");
+        payload[at..at + 4].copy_from_slice(&terms.to_le_bytes());
+        let mut w = ByteWriter::new();
+        w.raw(&v5[..16]);
+        w.u64(payload.len() as u64);
+        let checksum = wire::fnv1a(&payload);
+        w.raw(&payload);
+        w.u64(checksum);
+        let err = RepairDriver::resume(problem(), config(), &w.into_bytes())
+            .expect_err("an out-of-pool prefix store id must not load");
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
     fn resume_accepts_a_version_4_snapshot_and_discards_its_screen_counter() {
         let mut d = RepairDriver::new(problem(), config());
         d.step();
         d.step();
-        let v4 = downgrade(&d.snapshot(), 4, 1234);
+        let v4 = downgrade(&d, 4, 1234);
         assert_eq!(u32::from_le_bytes(v4[4..8].try_into().unwrap()), 4);
         assert!(check_snapshot_header(&problem(), &v4).is_ok());
         let mut r = RepairDriver::resume(problem(), config(), &v4).unwrap();
@@ -1309,7 +1434,7 @@ mod tests {
         let mut d = RepairDriver::new(problem(), config());
         d.step();
         d.step();
-        let v3 = downgrade(&d.snapshot(), 3, 77);
+        let v3 = downgrade(&d, 3, 77);
         assert_eq!(u32::from_le_bytes(v3[4..8].try_into().unwrap()), 3);
         assert!(check_snapshot_header(&problem(), &v3).is_ok());
         let mut r = RepairDriver::resume(problem(), config(), &v3).unwrap();
@@ -1329,7 +1454,7 @@ mod tests {
     fn resume_rejects_a_truncated_version_3_snapshot() {
         let mut d = RepairDriver::new(problem(), config());
         d.step();
-        let v3 = downgrade(&d.snapshot(), 3, 0);
+        let v3 = downgrade(&d, 3, 0);
         // Chop inside the payload: the checksum no longer matches (or the
         // byte reader runs dry) — either way a typed error, never a panic.
         let err = RepairDriver::resume(problem(), config(), &v3[..v3.len() - 9])

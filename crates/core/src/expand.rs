@@ -1,6 +1,5 @@
 //! The expansion phase of the repair loop: generational search with path
-//! reduction (§3.4), fanned out over [`RepairConfig::threads`] workers with
-//! *incremental prefix solving*.
+//! reduction (§3.4), fanned out over [`RepairConfig::threads`] workers.
 //!
 //! Per explored path, the serial algorithm issues up to
 //! `max_expansion × max_feasibility_probes` solver checks: every prefix
@@ -15,15 +14,11 @@
 //!    query of the batch is pre-built serially into the shared term pool,
 //!    so workers borrow the pool read-only and all queries lie below the
 //!    cache floor (fully cacheable).
-//! 2. **An UNSAT-prefix store** ([`cpr_smt::UnsatPrefixStore`], held in
-//!    [`Session::unsat_prefixes`]). Constraints are conjunctive, so once a
-//!    prefix is UNSAT every extension of it is UNSAT without a query. Each
-//!    flip first checks its patch-independent *skeleton* (the non-patch
-//!    steps of the flipped prefix): skeleton-UNSAT refutes all of the
-//!    flip's probe queries at once, and the learned skeleton subsumes the
-//!    re-targeted probe queries of every later iteration that walks the
-//!    same branch structure — whatever patch or parameter constraint they
-//!    append.
+//! 2. **A skeleton check.** Constraints are conjunctive, so once a prefix
+//!    is UNSAT every extension of it is UNSAT. Each flip first checks its
+//!    patch-independent *skeleton* (the non-patch steps of the flipped
+//!    prefix): skeleton-UNSAT refutes all of the flip's probe queries at
+//!    once, whatever patch or parameter constraint they append.
 //! 3. **SAT-model reuse.** A probe query differs from the parent path only
 //!    in the re-targeted patch steps and the flipped branch, so the parent
 //!    run's inputs extended with the probe patch's representative
@@ -39,17 +34,13 @@
 //! * each flip's probe sequence (early exit at the first SAT) is decided
 //!   by solver verdicts, which are pure functions of the canonical query —
 //!   cached or not, whichever thread computed them first;
-//! * the UNSAT-prefix store is *frozen* during the fan-out; workers return
-//!   the canonical queries they proved UNSAT and the store grows only at
-//!   the merge point, in flip order. A store mutated mid-batch would let
-//!   scheduling upgrade `Unknown` verdicts to `Unsat` nondeterministically;
-//! * candidates, skip counts and learned prefixes are merged in flip
-//!   order, so the input queue sees the exact serial insertion sequence.
+//! * candidates and skip counts are merged in flip order, so the input
+//!   queue sees the exact serial insertion sequence.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cpr_concolic::{prefix_flips, score_candidate, CandidateInput, ConcolicResult, SeenPrefixes};
-use cpr_smt::{CanonicalQuery, Domains, FrameSession, Model, SatResult, Solver, TermId, TermPool};
+use cpr_smt::{Domains, Model, SatResult, Solver, TermId, TermPool};
 
 use crate::problem::RepairConfig;
 use crate::ranking::{rank_order, PoolEntry};
@@ -68,8 +59,6 @@ pub struct ExpandStats {
     pub paths_skipped: usize,
     /// Solver calls spent in this batch.
     pub solver_calls: u64,
-    /// Queries refuted by UNSAT-prefix subsumption instead of a search.
-    pub prefix_short_circuits: u64,
     /// Probe queries skipped outright because the flip's patch-free
     /// skeleton was UNSAT.
     pub base_unsat_skips: u64,
@@ -118,9 +107,6 @@ struct FlipOutcome {
     candidate: Option<Model>,
     /// All probes infeasible (with `count_skip`: a skipped path).
     skipped: bool,
-    /// Canonical queries this flip proved UNSAT, to be learned into the
-    /// store at the merge point.
-    learned: Vec<CanonicalQuery>,
     base_unsat_skips: u64,
     model_reuse_hits: u64,
 }
@@ -137,7 +123,6 @@ pub fn expand(
     config: &RepairConfig,
 ) -> ExpandOutcome {
     let queries_before = sess.solver.stats().queries;
-    let shorts_before = sess.solver.stats().prefix_short_circuits;
     let mut stats = ExpandStats::default();
 
     // Serial pre-pass 1: enumerate flips (interning each negation into the
@@ -233,16 +218,15 @@ pub fn expand(
             .collect()
     };
 
-    // Fan the flips out over forked solvers. Workers borrow the pool and
-    // the UNSAT-prefix store read-only; every query is below the cache
-    // floor, so all verdicts flow through the shared memoizing cache.
+    // Fan the flips out over forked solvers. Workers borrow the pool
+    // read-only; every query is below the cache floor, so all verdicts
+    // flow through the shared memoizing cache.
     let n = tasks.len();
     let threads = config.threads.clamp(1, n);
     let base_terms = sess.pool.len();
     let counter = AtomicUsize::new(0);
     let pool = &sess.pool;
     let domains = &sess.domains;
-    let store = &sess.unsat_prefixes;
     let worker_results: Vec<(Vec<(usize, FlipOutcome)>, Solver)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
@@ -257,14 +241,8 @@ pub fn expand(
                         if i >= n {
                             break;
                         }
-                        let outcome = process_flip(
-                            pool,
-                            &mut solver,
-                            domains,
-                            store,
-                            &tasks[i],
-                            reuse_models,
-                        );
+                        let outcome =
+                            process_flip(pool, &mut solver, domains, &tasks[i], reuse_models);
                         done.push((i, outcome));
                     }
                     (done, solver)
@@ -277,8 +255,8 @@ pub fn expand(
             .collect()
     });
 
-    // Deterministic merge: solvers fold back in spawn order; candidates,
-    // skips and learned UNSAT prefixes apply in flip order.
+    // Deterministic merge: solvers fold back in spawn order; candidates
+    // and skips apply in flip order.
     let mut outcomes: Vec<Option<FlipOutcome>> = Vec::with_capacity(n);
     outcomes.resize_with(n, || None);
     for (done, solver) in worker_results {
@@ -300,16 +278,12 @@ pub fn expand(
         if outcome.skipped {
             result.paths_skipped += 1;
         }
-        for key in outcome.learned {
-            sess.unsat_prefixes.insert(key);
-        }
         stats.base_unsat_skips += outcome.base_unsat_skips;
         stats.model_reuse_hits += outcome.model_reuse_hits;
     }
     stats.candidates = result.candidates.len();
     stats.paths_skipped = result.paths_skipped;
     stats.solver_calls = sess.solver.stats().queries - queries_before;
-    stats.prefix_short_circuits = sess.solver.stats().prefix_short_circuits - shorts_before;
     result.stats = stats;
     result
 }
@@ -320,41 +294,15 @@ fn process_flip(
     pool: &TermPool,
     solver: &mut Solver,
     domains: &Domains,
-    store: &cpr_smt::UnsatPrefixStore,
     task: &FlipTask,
     reuse_models: &[Option<Model>],
 ) -> FlipOutcome {
     let mut out = FlipOutcome::default();
     // Stage A: the patch-independent skeleton. UNSAT here refutes every
     // probe query (each is a superset), producing the same skip decision
-    // with one query instead of `max_feasibility_probes` — and the learned
-    // skeleton keeps subsuming re-targeted probes in later iterations.
-    //
-    // With the incremental knobs on, the skeleton — a subset of every probe
-    // query of this flip — becomes a pushed frame prefix: its check warms
-    // the session, and each probe then pushes its full query as extras
-    // (skeleton constraints re-push as no-op duplicate frames, only the
-    // patch steps and `T_ρ` contract incrementally).
-    let use_frames = solver.config().incremental && solver.config().batch_candidates;
-    let mut frames: Option<FrameSession> = None;
+    // with one query instead of `max_feasibility_probes`.
     if let Some(skeleton) = &task.skeleton {
-        let skeleton_unsat = if use_frames {
-            let mut f = solver.open_frames(pool, domains);
-            for &c in skeleton {
-                solver.push_frame(pool, &mut f, c);
-            }
-            let verdict = solver.check_frames(pool, &mut f, Some(store));
-            frames = Some(f);
-            verdict.is_unsat()
-        } else {
-            solver
-                .check_prefixed(pool, skeleton, domains, store)
-                .is_unsat()
-        };
-        if skeleton_unsat {
-            if let Some(key) = solver.canonical_query(pool, skeleton, domains) {
-                out.learned.push(key);
-            }
+        if solver.check(pool, skeleton, domains).is_unsat() {
             out.base_unsat_skips = task.queries.len() as u64;
             out.skipped = task.count_skip;
             return out;
@@ -371,12 +319,7 @@ fn process_flip(
                 break;
             }
         }
-        let verdict = if let Some(f) = frames.as_mut() {
-            solver.check_frames_with(pool, f, query, Some(store))
-        } else {
-            solver.check_prefixed(pool, query, domains, store)
-        };
-        match verdict {
+        match solver.check(pool, query, domains) {
             SatResult::Sat(model) => {
                 // Keep parameter values in the model: the repair loop uses
                 // them as the representative so the intended path is
@@ -384,11 +327,7 @@ fn process_flip(
                 out.candidate = Some(model);
                 break;
             }
-            SatResult::Unsat => {
-                if let Some(key) = solver.canonical_query(pool, query, domains) {
-                    out.learned.push(key);
-                }
-            }
+            SatResult::Unsat => {}
             SatResult::Unknown => {
                 all_infeasible = false;
             }

@@ -209,11 +209,6 @@ pub struct RepairConfig {
     /// available parallelism. Any value produces bit-identical results —
     /// only wall-clock changes.
     pub threads: usize,
-    /// Capacity of the UNSAT-prefix store used for incremental prefix
-    /// solving during expansion: once a path prefix is proven UNSAT, every
-    /// extension of it is refuted by a subset check instead of a solver
-    /// search. `0` disables the store.
-    pub unsat_prefix_capacity: usize,
     /// Record metrics and spans on the process-wide [`cpr_obs::global`]
     /// registry. Instrumentation is write-only — nothing recorded ever
     /// feeds back into repair decisions — so the final
@@ -244,7 +239,6 @@ impl Default for RepairConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            unsat_prefix_capacity: 512,
             metrics: true,
         }
     }

@@ -39,7 +39,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cpr_concolic::ConcolicResult;
-use cpr_smt::{Domains, FrameSession, Region, SatResult, Solver, TermId, TermPool};
+use cpr_smt::{Domains, Region, SatResult, Solver, TermId, TermPool};
 use cpr_synth::AbstractPatch;
 
 use crate::problem::RepairConfig;
@@ -220,23 +220,15 @@ pub(crate) fn fan_out<T: Send>(
         .collect()
 }
 
-/// A solver check of `prefix ++ extras`. When `frames` is given, the
-/// session must already hold exactly `prefix` pushed (the caller's
-/// invariant) and the check runs incrementally — `extras` are pushed,
-/// decided, and popped, which [`Solver::check_frames_with`] guarantees is
-/// verdict- and model-identical to `check` on the full query.
+/// A solver check of `prefix ++ extras`.
 fn check_query(
     pool: &TermPool,
     solver: &mut Solver,
     domains: &Domains,
-    frames: Option<&mut FrameSession>,
     prefix: &[TermId],
     extras: &[TermId],
 ) -> SatResult {
-    match frames {
-        Some(f) => solver.check_frames_with(pool, f, extras, None),
-        None => solver.check(pool, &[prefix, extras].concat(), domains),
-    }
+    solver.check(pool, &[prefix, extras].concat(), domains)
 }
 
 /// One entry of the pool walk, on worker-owned state.
@@ -259,23 +251,8 @@ fn process_entry(
         new_patch: None,
         deletion: false,
     };
-    // Every query this entry issues — the feasibility gate and the whole
-    // refinement recursion — conjoins the same path prefix φ. With the
-    // incremental knobs on, push φ as assertion frames once: the shared
-    // prefix is contracted a single time and each query only push/pops its
-    // own hole constraints.
-    let mut frames: Option<FrameSession> =
-        if solver.config().incremental && solver.config().batch_candidates {
-            let mut f = solver.open_frames(pool, domains);
-            for &c in phi {
-                solver.push_frame(pool, &mut f, c);
-            }
-            Some(f)
-        } else {
-            None
-        };
     // π ← φ(X) ∧ ψ_ρ(X, A) ∧ T_ρ(A)
-    if !check_query(pool, solver, domains, frames.as_mut(), phi, &[t_term]).is_sat() {
+    if !check_query(pool, solver, domains, phi, &[t_term]).is_sat() {
         return outcome;
     }
     outcome.feasible = true;
@@ -286,7 +263,6 @@ fn process_entry(
                 pool,
                 solver,
                 domains,
-                frames.as_mut(),
                 phi,
                 &patch.constraint,
                 sigma,
@@ -378,9 +354,7 @@ fn deletion_like(
     let t_term = patch.constraint_term(pool);
     base.push(t_term);
     // If the *other* direction is infeasible on this partition, the patch is
-    // constant here: evidence of functionality deletion. (This query is
-    // over the non-patch partition, not the entry's φ prefix, so it does
-    // not ride the entry's frame session.)
+    // constant here: evidence of functionality deletion.
     let not_psi = pool.not(psi);
     let mut q = base.clone();
     q.push(not_psi);
@@ -405,7 +379,6 @@ pub fn refine_patch(
         &mut sess.pool,
         &mut sess.solver,
         &sess.domains,
-        None,
         phi,
         region,
         sigma,
@@ -415,16 +388,12 @@ pub fn refine_patch(
 }
 
 /// [`refine_patch`] on explicit pool/solver/domain state, so reduce and
-/// Phase-1 validation workers can run it on their forks. When `frames` is
-/// given it must hold exactly `phi` pushed; every query of the refinement
-/// then reuses that contracted prefix and only push/pops its own two or
-/// three hole constraints.
+/// Phase-1 validation workers can run it on their forks.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_patch_impl(
     pool: &mut TermPool,
     solver: &mut Solver,
     domains: &Domains,
-    frames: Option<&mut FrameSession>,
     phi: &[TermId],
     region: &Region,
     sigma: TermId,
@@ -435,7 +404,6 @@ pub(crate) fn refine_patch_impl(
         pool,
         solver,
         domains,
-        frames,
         phi,
         sigma,
         calls,
@@ -465,7 +433,6 @@ struct Refinement<'a> {
     pool: &'a mut TermPool,
     solver: &'a mut Solver,
     domains: &'a Domains,
-    frames: Option<&'a mut FrameSession>,
     phi: &'a [TermId],
     sigma: TermId,
     calls: &'a mut u32,
@@ -476,14 +443,7 @@ struct Refinement<'a> {
 
 impl Refinement<'_> {
     fn check(&mut self, extras: &[TermId]) -> SatResult {
-        check_query(
-            self.pool,
-            self.solver,
-            self.domains,
-            self.frames.as_deref_mut(),
-            self.phi,
-            extras,
-        )
+        check_query(self.pool, self.solver, self.domains, self.phi, extras)
     }
 
     /// Algorithm 3 on `region` at recursion `depth`. `guard` is `Some(T_r)`
@@ -996,7 +956,6 @@ mod tests {
         pool: &mut TermPool,
         solver: &mut Solver,
         domains: &Domains,
-        mut frames: Option<&mut FrameSession>,
         phi: &[TermId],
         region: &Region,
         sigma: TermId,
@@ -1012,7 +971,7 @@ mod tests {
         let not_sigma = pool.not(sigma);
         macro_rules! check {
             ($($extra:expr),+) => {
-                check_query(pool, solver, domains, frames.as_deref_mut(), phi, &[$($extra),+])
+                check_query(pool, solver, domains, phi, &[$($extra),+])
             };
         }
         *calls += 1;
@@ -1051,7 +1010,6 @@ mod tests {
                 pool,
                 solver,
                 domains,
-                frames.as_deref_mut(),
                 phi,
                 &r,
                 sigma,
@@ -1086,35 +1044,21 @@ mod tests {
     type RefineOutcome = (Region, u32, u64, usize, u32);
 
     /// Runs the eager oracle or [`refine_patch_impl`] on a fork of the
-    /// case's session, like a reduce worker does, with or without a frame
-    /// session holding φ.
-    fn refine_on_fork(
-        case: &RefineCase,
-        config: &RepairConfig,
-        use_frames: bool,
-        eager: bool,
-    ) -> RefineOutcome {
+    /// case's session, like a reduce worker does.
+    fn refine_on_fork(case: &RefineCase, config: &RepairConfig, eager: bool) -> RefineOutcome {
         let mut pool = case.sess.pool.clone();
         let mut solver = case.sess.solver.fork(pool.len());
         let domains = &case.sess.domains;
-        let mut frames = use_frames.then(|| {
-            let mut f = solver.open_frames(&pool, domains);
-            for &c in &case.phi {
-                solver.push_frame(&pool, &mut f, c);
-            }
-            f
-        });
         let before = solver.stats().queries;
         let mut calls = 0;
         let mut refuted = 0;
-        let (pool, solver, frames) = (&mut pool, &mut solver, frames.as_mut());
+        let (pool, solver) = (&mut pool, &mut solver);
         let (phi, region, sigma) = (&case.phi, &case.region, case.sigma);
         let region = if eager {
             eager_refine(
                 pool,
                 solver,
                 domains,
-                frames,
                 phi,
                 region,
                 sigma,
@@ -1125,7 +1069,7 @@ mod tests {
             )
         } else {
             refine_patch_impl(
-                pool, solver, domains, frames, phi, region, sigma, &mut calls, config,
+                pool, solver, domains, phi, region, sigma, &mut calls, config,
             )
         };
         let queries = solver.stats().queries - before;
@@ -1202,8 +1146,8 @@ mod tests {
     /// The deferred recursion returns the eager Algorithm 3's region and
     /// leaves `calls` where it left them, for every budget cutoff — calls
     /// swept so the cut lands mid sibling loop, depths 1–3 and the default
-    /// — with and without a frame session, on the DIV and the
-    /// libtiff-865f7b2-shaped problems; and it never issues more queries.
+    /// — on the DIV and the libtiff-865f7b2-shaped problems; and it never
+    /// issues more queries.
     #[test]
     fn deferred_refinement_matches_the_eager_algorithm() {
         use crate::synthesize::tests::{asserting_problem, problem};
@@ -1252,14 +1196,10 @@ mod tests {
                         max_refine_calls,
                         ..RepairConfig::quick()
                     };
-                    // Both frame modes on every case, alternating along the sweep.
-                    let use_frames = (i + max_refine_calls as usize).is_multiple_of(2);
-                    let eager = refine_on_fork(case, &config, use_frames, true);
-                    let deferred = refine_on_fork(case, &config, use_frames, false);
-                    let at = format!(
-                        "case {i}, frames {use_frames}, depth {max_refine_depth}, \
-                         calls {max_refine_calls}"
-                    );
+                    let eager = refine_on_fork(case, &config, true);
+                    let deferred = refine_on_fork(case, &config, false);
+                    let at =
+                        format!("case {i}, depth {max_refine_depth}, calls {max_refine_calls}");
                     assert_eq!(eager.0, deferred.0, "region differs at {at}");
                     assert_eq!(eager.1, deferred.1, "calls differ at {at}");
                     assert!(deferred.2 <= eager.2, "more queries at {at}");

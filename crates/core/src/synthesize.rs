@@ -205,7 +205,6 @@ fn validate_candidate(
                         pool,
                         solver,
                         domains,
-                        None,
                         &phi,
                         &patch.constraint,
                         sigma,

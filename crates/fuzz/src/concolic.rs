@@ -3,7 +3,7 @@
 //! Where the mutation fuzzer in the crate root guesses, this engine
 //! *derives*: it executes the subject concretely while collecting the
 //! symbolic path condition, negates each newly observed branch constraint,
-//! asks the incremental [`cpr_smt::Solver`] for an input that diverges at
+//! asks the [`cpr_smt::Solver`] for an input that diverges at
 //! exactly that branch, and re-executes — the generational search of the
 //! paper's §3.4 turned into a standalone input-discovery campaign.
 //!
@@ -46,12 +46,8 @@ pub struct ConcolicFuzzConfig {
     pub exec_max_steps: u64,
     /// Maximum recorded path length per execution.
     pub exec_max_path: usize,
-    /// Solver configuration for the divergence queries. `incremental` is
-    /// forced on — the frontier solves one negation per [`FrameSession`]
-    /// push/pop, and `cache_dir` plugs the campaign into the fleet
-    /// verdict cache shared with repair jobs.
-    ///
-    /// [`FrameSession`]: cpr_smt::FrameSession
+    /// Solver configuration for the divergence queries; `cache_dir` plugs
+    /// the campaign into the fleet verdict cache shared with repair jobs.
     pub solver: SolverConfig,
     /// Directory for the on-disk corpus of failing inputs (`None`
     /// disables persistence).
@@ -216,7 +212,7 @@ pub struct ConcolicFuzzer<'p> {
 
 impl<'p> ConcolicFuzzer<'p> {
     /// Sets up a campaign: interns input variables, bounds their domains,
-    /// and configures the incremental solver (attaching fleet cache and
+    /// and configures the solver (attaching fleet cache and
     /// metrics per the config).
     pub fn new(program: &'p Program, config: &ConcolicFuzzConfig) -> ConcolicFuzzer<'p> {
         let mut pool = TermPool::new();
@@ -227,11 +223,7 @@ impl<'p> ConcolicFuzzer<'p> {
             domains.bound(v, decl.lo, decl.hi);
             inputs.push((decl.name.clone(), v, decl.lo, decl.hi));
         }
-        let mut solver_config = config.solver.clone();
-        // The frontier is built on FrameSession push/pop; the flag is not
-        // an ablation knob here.
-        solver_config.incremental = true;
-        let mut solver = Solver::new(solver_config);
+        let mut solver = Solver::new(config.solver.clone());
         let registry = if config.metrics {
             cpr_obs::global().clone()
         } else {
@@ -383,25 +375,13 @@ impl<'p> ConcolicFuzzer<'p> {
             }
 
             // Generational expansion: one divergence query per fresh
-            // prefix, sharing the path's constraint frames — flip k
-            // reuses the contraction of flips deeper than k via a single
-            // FrameSession, popping one frame per step.
-            let flips = prefix_flips(&mut self.pool, &run.path);
-            if flips.is_empty() {
-                continue;
-            }
-            let mut frames = self.solver.open_frames(&self.pool, &self.domains);
-            for step in &run.path[..run.path.len() - 1] {
-                self.solver
-                    .push_frame(&self.pool, &mut frames, step.constraint);
-            }
-            for flip in &flips {
+            // prefix.
+            for flip in &prefix_flips(&mut self.pool, &run.path) {
                 if seen.insert(&flip.constraints) {
-                    let negated = *flip.constraints.last().expect("flip has a constraint");
                     let t0 = self.obs.solve_nanos.start();
-                    let verdict =
-                        self.solver
-                            .check_frames_with(&self.pool, &mut frames, &[negated], None);
+                    let verdict = self
+                        .solver
+                        .check(&self.pool, &flip.constraints, &self.domains);
                     self.obs.solve_nanos.stop(t0);
                     match verdict {
                         SatResult::Sat(model) => {
@@ -421,9 +401,6 @@ impl<'p> ConcolicFuzzer<'p> {
                             self.obs.diverge_unsat.inc();
                         }
                     }
-                }
-                if flip.flipped_index > 0 {
-                    self.solver.pop_frame(&mut frames);
                 }
             }
         }

@@ -463,7 +463,7 @@ impl Scheduler {
 
     /// Like [`Scheduler::new`], but additionally opens the fleet solver
     /// cache at `cache_dir` (when given) and warm-loads its on-disk
-    /// verdict/no-good store before the first job runs. Every job this
+    /// verdict store before the first job runs. Every job this
     /// scheduler executes shares the one in-process instance; checkpoints
     /// and job completions flush it back to disk.
     pub fn with_cache(

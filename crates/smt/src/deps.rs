@@ -203,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn sync_is_incremental_and_idempotent() {
+    fn sync_extends_lazily_and_is_idempotent() {
         let mut pool = TermPool::new();
         let mut deps = DepGraph::new();
         deps.sync(&pool);

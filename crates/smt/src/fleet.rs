@@ -1,6 +1,6 @@
 //! Durable fleet-level solver cache: a log-structured, checksummed
-//! on-disk store of solver verdicts and learned no-goods, shared across
-//! jobs and process restarts.
+//! on-disk store of solver verdicts, shared across jobs and process
+//! restarts.
 //!
 //! # Keys
 //!
@@ -17,14 +17,18 @@
 //! One file, `cache.log`, in the cache directory:
 //!
 //! ```text
-//! header:  magic "CPRF" · u32 version (currently 1)
+//! header:  magic "CPRF" · u32 version (currently 2)
 //! record:  u32 payload_len · payload · u64 fnv1a(payload)
-//! payload: u8 kind (0 = verdict/unsat, 1 = verdict/sat, 2 = no-good,
+//! payload: u8 kind (0 = verdict/unsat, 1 = verdict/sat,
 //!          3 = verdict/unknown)
 //!          u64 n · n × (u64 lo, u64 hi) constraint digests (sorted)
 //!          u64 domain digest
 //!          kind 1 only: u64 count · count × (name, value) model entries
 //! ```
+//!
+//! Version 1 logs also held kind-2 no-good records (subset-subsumption
+//! entries); version 2 dropped that kind, and a version-1 log degrades to
+//! a cold start like any other version drift.
 //!
 //! Writers append framed records; a flush is one `write` + `fsync`.
 //! Compaction — triggered when the log accumulates enough duplicate
@@ -50,10 +54,10 @@
 //! mutex, `Arc`-shared by every solver fork. Against concurrent
 //! *processes* an advisory `cache.lock` file (holding the owner's pid) is
 //! taken at open; losing it opens the store read-only — loaded entries
-//! still serve hits, new learning stays in memory. A lock whose owner
+//! still serve hits, new verdicts stay in memory. A lock whose owner
 //! pid is dead is stale and is taken over.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -133,10 +137,9 @@ pub struct FlushStats {
 }
 
 const MAGIC: &[u8; 4] = b"CPRF";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 const KIND_UNSAT: u8 = 0;
 const KIND_SAT: u8 = 1;
-const KIND_NOGOOD: u8 = 2;
 const KIND_UNKNOWN: u8 = 3;
 /// Compaction trigger: rewrite once the log holds this many records more
 /// than the live set (duplicates appended by other processes).
@@ -156,10 +159,6 @@ pub fn fsync_dir(dir: &Path) -> io::Result<()> {
 #[derive(Debug, Default)]
 struct FleetInner {
     verdicts: HashMap<FleetKey, FleetVerdict>,
-    /// No-good keys in insertion order (for the linear subset scan) plus
-    /// an exact-membership index probed first.
-    nogoods: Vec<FleetKey>,
-    nogood_index: HashSet<FleetKey>,
     /// Encoded record payloads accumulated since the last flush.
     pending: Vec<Vec<u8>>,
     load_error: Option<FleetError>,
@@ -202,7 +201,7 @@ impl FleetCache {
     /// `capacity` entries in memory. Within a process, two opens of the
     /// same directory return the same instance. Never fails: an
     /// unpreparable directory yields a disabled store (lookups miss,
-    /// learning is dropped) with the error surfaced via
+    /// records are dropped) with the error surfaced via
     /// [`FleetCache::load_error`].
     pub fn open_shared(dir: &Path, capacity: usize) -> Arc<FleetCache> {
         let canon = fs::create_dir_all(dir).and_then(|()| dir.canonicalize());
@@ -283,10 +282,9 @@ impl FleetCache {
         !inner.owns_lock || inner.disabled
     }
 
-    /// Entries (verdicts + no-goods) currently held in memory.
+    /// Verdicts currently held in memory.
     pub fn entries(&self) -> usize {
-        let inner = lock_inner(&self.inner);
-        inner.verdicts.len() + inner.nogoods.len()
+        lock_inner(&self.inner).verdicts.len()
     }
 
     /// Size of `cache.log` as of the last load or flush, in bytes.
@@ -324,7 +322,7 @@ impl FleetCache {
         let mut inner = lock_inner(&self.inner);
         if inner.disabled
             || inner.verdicts.contains_key(&key)
-            || inner.verdicts.len() + inner.nogoods.len() >= inner.capacity
+            || inner.verdicts.len() >= inner.capacity
         {
             return;
         }
@@ -332,36 +330,7 @@ impl FleetCache {
         inner.verdicts.insert(key, verdict);
     }
 
-    /// Whether a stored no-good refutes `key`: some recorded digest set
-    /// with the same domain digest is a subset of the key's digests.
-    /// Sound by monotone refutation — a root-refutable subset refutes
-    /// every superset at the root, whatever the interleaving.
-    pub fn nogood_subsumed(&self, key: &FleetKey) -> bool {
-        let inner = lock_inner(&self.inner);
-        if inner.nogood_index.contains(key) {
-            return true;
-        }
-        let (digests, domain) = key;
-        inner.nogoods.iter().any(|(set, dom)| {
-            dom == domain && set.len() < digests.len() && is_digest_subset(set, digests)
-        })
-    }
-
-    /// Records a no-good digest set. Returns `true` if it was new.
-    pub fn record_nogood(&self, key: FleetKey) -> bool {
-        let mut inner = lock_inner(&self.inner);
-        if inner.disabled
-            || inner.nogood_index.contains(&key)
-            || inner.verdicts.len() + inner.nogoods.len() >= inner.capacity
-        {
-            return false;
-        }
-        inner.pending.push(encode_nogood(&key));
-        inner.nogoods.push(key.clone());
-        inner.nogood_index.insert(key)
-    }
-
-    /// Writes everything learned since the last flush to `cache.log`.
+    /// Writes every verdict recorded since the last flush to `cache.log`.
     ///
     /// Normally one append + fsync; after a load error (or when the log
     /// has accumulated enough duplicate records from other processes to
@@ -377,7 +346,7 @@ impl FleetCache {
                 compacted: false,
             });
         }
-        let live = (inner.verdicts.len() + inner.nogoods.len()) as u64;
+        let live = inner.verdicts.len() as u64;
         let wants_compaction = inner.disk_records > live + COMPACT_SLACK;
         if inner.needs_rewrite || wants_compaction {
             return self.rewrite_locked(&mut inner);
@@ -431,10 +400,6 @@ impl FleetCache {
         let mut records = 0u64;
         for (key, verdict) in &inner.verdicts {
             frame_record(&mut out, &encode_verdict(key, verdict));
-            records += 1;
-        }
-        for key in &inner.nogoods {
-            frame_record(&mut out, &encode_nogood(key));
             records += 1;
         }
         let tmp = self.dir.join("cache.log.tmp");
@@ -522,26 +487,9 @@ fn lock_is_stale(path: &Path) -> bool {
     }
 }
 
-enum Record {
-    Verdict(FleetKey, FleetVerdict),
-    NoGood(FleetKey),
-}
-
-fn apply_record(inner: &mut FleetInner, rec: Record) {
-    match rec {
-        Record::Verdict(key, verdict) => {
-            if inner.verdicts.len() + inner.nogoods.len() < inner.capacity {
-                inner.verdicts.entry(key).or_insert(verdict);
-            }
-        }
-        Record::NoGood(key) => {
-            if inner.verdicts.len() + inner.nogoods.len() < inner.capacity
-                && !inner.nogood_index.contains(&key)
-            {
-                inner.nogoods.push(key.clone());
-                inner.nogood_index.insert(key);
-            }
-        }
+fn apply_record(inner: &mut FleetInner, (key, verdict): (FleetKey, FleetVerdict)) {
+    if inner.verdicts.len() < inner.capacity {
+        inner.verdicts.entry(key).or_insert(verdict);
     }
 }
 
@@ -584,13 +532,6 @@ fn encode_verdict(key: &FleetKey, verdict: &FleetVerdict) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn encode_nogood(key: &FleetKey) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u8(KIND_NOGOOD);
-    write_key(&mut w, key);
-    w.into_bytes()
-}
-
 fn read_key(r: &mut ByteReader<'_>) -> Result<FleetKey, FleetError> {
     let n = r
         .seq_len("digest count", 16)
@@ -611,13 +552,13 @@ fn read_key(r: &mut ByteReader<'_>) -> Result<FleetKey, FleetError> {
     Ok((digests, domain))
 }
 
-fn parse_payload(payload: &[u8]) -> Result<Record, FleetError> {
+fn parse_payload(payload: &[u8]) -> Result<(FleetKey, FleetVerdict), FleetError> {
     let mut r = ByteReader::new(payload);
     let kind = r
         .u8("record kind")
         .map_err(|_| FleetError::Corrupt("kind"))?;
     let rec = match kind {
-        KIND_UNSAT => Record::Verdict(read_key(&mut r)?, FleetVerdict::Unsat),
+        KIND_UNSAT => (read_key(&mut r)?, FleetVerdict::Unsat),
         KIND_SAT => {
             let key = read_key(&mut r)?;
             let count = r
@@ -631,10 +572,9 @@ fn parse_payload(payload: &[u8]) -> Result<Record, FleetError> {
                 let value = read_value(&mut r).map_err(|_| FleetError::Corrupt("model value"))?;
                 model.push((name, value));
             }
-            Record::Verdict(key, FleetVerdict::Sat(model))
+            (key, FleetVerdict::Sat(model))
         }
-        KIND_NOGOOD => Record::NoGood(read_key(&mut r)?),
-        KIND_UNKNOWN => Record::Verdict(read_key(&mut r)?, FleetVerdict::Unknown),
+        KIND_UNKNOWN => (read_key(&mut r)?, FleetVerdict::Unknown),
         _ => return Err(FleetError::Corrupt("unknown record kind")),
     };
     if !r.is_empty() {
@@ -643,7 +583,7 @@ fn parse_payload(payload: &[u8]) -> Result<Record, FleetError> {
     Ok(rec)
 }
 
-fn parse_log(bytes: &[u8]) -> Result<Vec<Record>, FleetError> {
+fn parse_log(bytes: &[u8]) -> Result<Vec<(FleetKey, FleetVerdict)>, FleetError> {
     if bytes.is_empty() {
         return Ok(Vec::new());
     }
@@ -680,23 +620,6 @@ fn parse_log(bytes: &[u8]) -> Result<Vec<Record>, FleetError> {
     Ok(records)
 }
 
-/// Subset test over *sorted* digest slices (merge walk), the content-key
-/// analogue of the in-process sorted-id subset test.
-fn is_digest_subset(sub: &[u128], sup: &[u128]) -> bool {
-    let mut it = sup.iter();
-    'outer: for s in sub {
-        for t in it.by_ref() {
-            match t.cmp(s) {
-                std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Equal => continue 'outer,
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-        return false;
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -716,7 +639,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrips_verdicts_and_nogoods_across_reopen() {
+    fn roundtrips_verdicts_across_reopen() {
         let dir = temp_dir("roundtrip");
         {
             let cache = FleetCache::open_shared(&dir, 1024);
@@ -726,13 +649,12 @@ mod tests {
                 key(&[4, 5], 7),
                 FleetVerdict::Sat(vec![("x".into(), Value::Int(9))]),
             );
-            cache.record_nogood(key(&[2, 3], 7));
             cache.flush().expect("flush");
             drop(cache); // release the registry entry and the lock
         }
         let cache = FleetCache::open_shared(&dir, 1024);
         assert!(cache.load_error().is_none());
-        assert_eq!(cache.entries(), 3);
+        assert_eq!(cache.entries(), 2);
         assert_eq!(
             cache.lookup_verdict(&key(&[1, 2, 3], 7)),
             Some(FleetVerdict::Unsat)
@@ -741,11 +663,9 @@ mod tests {
             cache.lookup_verdict(&key(&[4, 5], 7)),
             Some(FleetVerdict::Sat(vec![("x".into(), Value::Int(9))]))
         );
-        // Exact and strict-subset no-good hits; domain mismatch misses.
-        assert!(cache.nogood_subsumed(&key(&[2, 3], 7)));
-        assert!(cache.nogood_subsumed(&key(&[1, 2, 3, 9], 7)));
-        assert!(!cache.nogood_subsumed(&key(&[2, 3], 8)));
-        assert!(!cache.nogood_subsumed(&key(&[2], 7)));
+        // Keys match exactly: a domain mismatch or a subset misses.
+        assert_eq!(cache.lookup_verdict(&key(&[1, 2, 3], 8)), None);
+        assert_eq!(cache.lookup_verdict(&key(&[1, 2], 7)), None);
         drop(cache);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -765,7 +685,7 @@ mod tests {
         {
             let cache = FleetCache::open_shared(&dir, 1024);
             cache.record_verdict(key(&[10, 20], 1), FleetVerdict::Unsat);
-            cache.record_nogood(key(&[10], 1));
+            cache.record_verdict(key(&[10], 1), FleetVerdict::Unknown);
             cache.flush().expect("flush");
         }
         corrupt(&dir.join("cache.log"));
@@ -821,6 +741,64 @@ mod tests {
             fs::write(log, bytes).expect("bump version");
         });
         assert_eq!(cache.load_error(), Some(FleetError::UnsupportedVersion(99)));
+        assert_eq!(cache.entries(), 0);
+        drop(cache);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A version-1 log (the format that also held no-good records, kind 2)
+    /// is refused by version before any record is decoded: cold start,
+    /// and the first flush rewrites it as a version-2 log.
+    #[test]
+    fn version_1_log_with_a_nogood_record_degrades_to_cold_start() {
+        let dir = temp_dir("v1");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let mut log: Vec<u8> = MAGIC.to_vec();
+        log.extend_from_slice(&1u32.to_le_bytes());
+        frame_record(
+            &mut log,
+            &encode_verdict(&key(&[10, 20], 1), &FleetVerdict::Unsat),
+        );
+        let mut nogood = ByteWriter::new();
+        nogood.u8(2);
+        write_key(&mut nogood, &key(&[10], 1));
+        frame_record(&mut log, &nogood.into_bytes());
+        fs::write(dir.join("cache.log"), &log).expect("write v1 log");
+
+        let cache = FleetCache::open_shared(&dir, 1024);
+        assert_eq!(cache.load_error(), Some(FleetError::UnsupportedVersion(1)));
+        assert_eq!(cache.entries(), 0, "cold: nothing loaded");
+        assert_eq!(cache.lookup_verdict(&key(&[10, 20], 1)), None);
+        cache.record_verdict(key(&[30], 2), FleetVerdict::Unsat);
+        cache.flush().expect("recovery flush");
+        drop(cache);
+        let bytes = fs::read(dir.join("cache.log")).expect("read rewritten log");
+        assert_eq!(&bytes[4..8], &VERSION.to_le_bytes());
+        let reopened = FleetCache::open_shared(&dir, 1024);
+        assert!(reopened.load_error().is_none());
+        assert_eq!(reopened.entries(), 1);
+        drop(reopened);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Kind 2 is not a record kind in version 2: a checksum-valid kind-2
+    /// payload inside a version-2 log is corrupt, not a no-good.
+    #[test]
+    fn kind_2_record_in_a_version_2_log_is_corrupt() {
+        let dir = temp_dir("kind2");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let mut log: Vec<u8> = MAGIC.to_vec();
+        log.extend_from_slice(&VERSION.to_le_bytes());
+        let mut nogood = ByteWriter::new();
+        nogood.u8(2);
+        write_key(&mut nogood, &key(&[10], 1));
+        frame_record(&mut log, &nogood.into_bytes());
+        fs::write(dir.join("cache.log"), &log).expect("write log");
+        let cache = FleetCache::open_shared(&dir, 1024);
+        assert_eq!(
+            cache.load_error(),
+            Some(FleetError::Corrupt("unknown record kind"))
+        );
         assert_eq!(cache.entries(), 0);
         drop(cache);
         let _ = fs::remove_dir_all(&dir);
@@ -898,7 +876,7 @@ mod tests {
         let dir = temp_dir("capacity");
         let cache = FleetCache::open_shared(&dir, 2);
         cache.record_verdict(key(&[1], 0), FleetVerdict::Unsat);
-        cache.record_nogood(key(&[2], 0));
+        cache.record_verdict(key(&[2], 0), FleetVerdict::Unknown);
         cache.record_verdict(key(&[3], 0), FleetVerdict::Unsat);
         assert_eq!(cache.entries(), 2, "inserts beyond capacity are dropped");
         assert_eq!(cache.lookup_verdict(&key(&[3], 0)), None);

@@ -61,7 +61,6 @@ mod region;
 mod simplify;
 mod solver;
 mod term;
-mod trail;
 pub mod wire;
 pub mod zone;
 
@@ -72,8 +71,7 @@ pub use model::{Model, Value};
 pub use parse::ParseTermError;
 pub use region::{ParamBox, Region};
 pub use solver::{
-    CanonicalQuery, CountBounds, Domains, NoGoodStore, SatResult, SharedQueryCache, Solver,
-    SolverConfig, SolverStats, UnsatPrefixStore, VerdictStore,
+    CanonicalQuery, CountBounds, Domains, SatResult, SharedQueryCache, Solver, SolverConfig,
+    SolverStats,
 };
 pub use term::{ArithOp, CmpOp, Sort, TermData, TermId, TermPool, VarId};
-pub use trail::FrameSession;

@@ -183,7 +183,7 @@ impl Region {
         if self.params.is_empty() {
             return if self.boxes.is_empty() { 0 } else { 1 };
         }
-        // Disjointify incrementally: each box contributes the parts not
+        // Disjointify box by box: each box contributes the parts not
         // covered by earlier boxes.
         let mut covered: Vec<ParamBox> = Vec::with_capacity(self.boxes.len());
         let mut total: u128 = 0;

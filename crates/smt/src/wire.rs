@@ -1,8 +1,8 @@
 //! Stable binary serialization for snapshot payloads.
 //!
 //! The resumable repair driver (`cpr-core`) checkpoints its anytime state —
-//! term pool, patch parameter constraints, input queue, seen-prefix sets,
-//! UNSAT-prefix store — to disk and resumes it bit-identically. This module
+//! term pool, patch parameter constraints, input queue, seen-prefix sets —
+//! to disk and resumes it bit-identically. This module
 //! provides the byte-level codec those snapshots are built from: a little
 //! length-prefixed writer/reader pair plus `Wire` encodings for the
 //! `cpr-smt` value types that appear in the payload.
@@ -26,7 +26,7 @@ use std::fmt;
 use crate::interval::Interval;
 use crate::model::{Model, Value};
 use crate::region::{ParamBox, Region};
-use crate::solver::{CanonicalQuery, Domains, SolverStats, UnsatPrefixStore};
+use crate::solver::{Domains, SolverStats};
 use crate::term::{TermId, VarId};
 
 /// Typed decoding failure. Every variant names what was being read, so a
@@ -476,58 +476,6 @@ pub fn read_domains(r: &mut ByteReader<'_>, var_limit: usize) -> Result<Domains,
     Ok(d)
 }
 
-/// Writes a [`CanonicalQuery`]: sorted constraint ids plus the domain
-/// fingerprint.
-pub fn write_canonical_query(w: &mut ByteWriter, q: &CanonicalQuery) {
-    let (terms, fingerprint) = q;
-    w.usize(terms.len());
-    for &t in terms {
-        write_term_id(w, t);
-    }
-    w.u64(*fingerprint);
-}
-
-/// Reads a [`CanonicalQuery`], validating term ids against `term_limit`.
-pub fn read_canonical_query(
-    r: &mut ByteReader<'_>,
-    term_limit: usize,
-) -> Result<CanonicalQuery, WireError> {
-    let n = r.seq_len("query constraints", 4)?;
-    let mut terms = Vec::with_capacity(n);
-    for _ in 0..n {
-        terms.push(read_term_id(r, term_limit, "query constraint")?);
-    }
-    let fingerprint = r.u64("query fingerprint")?;
-    Ok((terms, fingerprint))
-}
-
-/// Writes an [`UnsatPrefixStore`]: capacity, then the entries in insertion
-/// (FIFO) order — the order that must survive a resume for eviction to
-/// behave identically.
-pub fn write_unsat_prefix_store(w: &mut ByteWriter, store: &UnsatPrefixStore) {
-    w.usize(store.capacity());
-    w.usize(store.len());
-    for q in store.iter() {
-        write_canonical_query(w, q);
-    }
-}
-
-/// Reads an [`UnsatPrefixStore`] written by [`write_unsat_prefix_store`].
-pub fn read_unsat_prefix_store(
-    r: &mut ByteReader<'_>,
-    term_limit: usize,
-) -> Result<UnsatPrefixStore, WireError> {
-    let capacity = r.len("store capacity")?;
-    // Min entry: 8-byte constraint count + 8-byte fingerprint.
-    let n = r.seq_len("store entries", 16)?;
-    let mut store = UnsatPrefixStore::new(capacity);
-    for _ in 0..n {
-        let q = read_canonical_query(r, term_limit)?;
-        store.insert(q);
-    }
-    Ok(store)
-}
-
 /// Writes [`SolverStats`] counters.
 pub fn write_solver_stats(w: &mut ByteWriter, s: &SolverStats) {
     w.u64(s.queries);
@@ -537,14 +485,8 @@ pub fn write_solver_stats(w: &mut ByteWriter, s: &SolverStats) {
     w.u64(s.nodes);
     w.u64(s.cache_hits);
     w.u64(s.cache_misses);
-    w.u64(s.prefix_short_circuits);
-    w.u64(s.frames_pushed);
-    w.u64(s.trail_restores);
-    w.u64(s.nogood_hits);
-    w.u64(s.batched_queries);
     w.u64(s.fleet_hits);
     w.u64(s.fleet_misses);
-    w.u64(s.fleet_nogood_hits);
     w.u64(s.fleet_stores);
     w.u64(s.fleet_load_errors);
 }
@@ -559,14 +501,8 @@ pub fn read_solver_stats(r: &mut ByteReader<'_>) -> Result<SolverStats, WireErro
         nodes: r.u64("stats nodes")?,
         cache_hits: r.u64("stats cache hits")?,
         cache_misses: r.u64("stats cache misses")?,
-        prefix_short_circuits: r.u64("stats prefix short circuits")?,
-        frames_pushed: r.u64("stats frames pushed")?,
-        trail_restores: r.u64("stats trail restores")?,
-        nogood_hits: r.u64("stats nogood hits")?,
-        batched_queries: r.u64("stats batched queries")?,
         fleet_hits: r.u64("stats fleet hits")?,
         fleet_misses: r.u64("stats fleet misses")?,
-        fleet_nogood_hits: r.u64("stats fleet nogood hits")?,
         fleet_stores: r.u64("stats fleet stores")?,
         fleet_load_errors: r.u64("stats fleet load errors")?,
     })
@@ -751,26 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn unsat_store_roundtrip_preserves_fifo_order() {
-        let mut store = UnsatPrefixStore::new(2);
-        store.insert((vec![TermId(0)], 1));
-        store.insert((vec![TermId(1)], 1));
-        let mut w = ByteWriter::new();
-        write_unsat_prefix_store(&mut w, &store);
-        let bytes = w.into_bytes();
-        let mut store2 = read_unsat_prefix_store(&mut ByteReader::new(&bytes), 8).unwrap();
-        assert_eq!(store2.len(), 2);
-        assert_eq!(store2.capacity(), 2);
-        // A third insert evicts the oldest entry in both the original and
-        // the restored store.
-        store.insert((vec![TermId(2)], 1));
-        store2.insert((vec![TermId(2)], 1));
-        let a: Vec<_> = store.iter().cloned().collect();
-        let b: Vec<_> = store2.iter().cloned().collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn solver_stats_roundtrip() {
         let s = SolverStats {
             queries: 10,
@@ -780,14 +696,8 @@ mod tests {
             nodes: 999,
             cache_hits: 3,
             cache_misses: 7,
-            prefix_short_circuits: 2,
-            frames_pushed: 21,
-            trail_restores: 34,
-            nogood_hits: 8,
-            batched_queries: 6,
             fleet_hits: 11,
             fleet_misses: 12,
-            fleet_nogood_hits: 13,
             fleet_stores: 14,
             fleet_load_errors: 1,
         };
@@ -797,14 +707,9 @@ mod tests {
         let s2 = read_solver_stats(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(s2.queries, 10);
         assert_eq!(s2.unsat, 5);
-        assert_eq!(s2.prefix_short_circuits, 2);
-        assert_eq!(s2.frames_pushed, 21);
-        assert_eq!(s2.trail_restores, 34);
-        assert_eq!(s2.nogood_hits, 8);
-        assert_eq!(s2.batched_queries, 6);
+        assert_eq!(s2.cache_misses, 7);
         assert_eq!(s2.fleet_hits, 11);
         assert_eq!(s2.fleet_misses, 12);
-        assert_eq!(s2.fleet_nogood_hits, 13);
         assert_eq!(s2.fleet_stores, 14);
         assert_eq!(s2.fleet_load_errors, 1);
     }

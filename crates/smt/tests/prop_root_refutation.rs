@@ -1,6 +1,6 @@
 //! Property test: the solver's root search node alone refutes the
-//! relational-guard and out-of-range-guard query families, and every
-//! root refutation is answered `Unsat` by a single-node search.
+//! relational-guard and out-of-range-guard query families — `check`
+//! answers each of their queries `Unsat` after exactly one search node.
 //!
 //! The families are the re-targeted partitions a repair run feeds the
 //! solver for two kinds of parameterized guard over the program
@@ -133,21 +133,17 @@ fn reduce_queries(s: &mut Subject, theta: TermId, part: (bool, bool, bool)) -> V
     ]
 }
 
-/// Asserts `query` is root-refutable and answered `Unsat` after `nodes`
-/// search nodes.
-fn assert_root_refuted(s: &Subject, query: &[TermId], nodes: u64, what: &str) {
+/// Asserts `query` is answered `Unsat` at the root: after exactly one
+/// search node.
+fn assert_root_refuted(s: &Subject, query: &[TermId], what: &str) {
     let mut solver = Solver::new(SolverConfig::default());
-    assert!(
-        solver.refute_root(&s.pool, query, &s.domains),
-        "{what}: the root pass did not refute {query:?}"
-    );
     assert!(
         solver.check(&s.pool, query, &s.domains).is_unsat(),
         "{what}: the solver did not answer Unsat on {query:?}"
     );
     assert_eq!(
         solver.stats().nodes,
-        nodes,
+        1,
         "{what}: unexpected search node count on {query:?}"
     );
 }
@@ -159,7 +155,7 @@ fn relational_guard_family_is_refuted_at_the_root() {
         let theta = relational_guard(&mut s, j);
         for (i, &part) in PARTITIONS.iter().enumerate() {
             for q in reduce_queries(&mut s, theta, part) {
-                assert_root_refuted(&s, &q, 1, &format!("relational j={j} partition {i}"));
+                assert_root_refuted(&s, &q, &format!("relational j={j} partition {i}"));
             }
         }
     }
@@ -172,105 +168,8 @@ fn out_of_range_guard_family_is_refuted_at_the_root() {
         let theta = out_of_range_guard(&mut s, j);
         for (i, &part) in PARTITIONS.iter().enumerate() {
             for q in reduce_queries(&mut s, theta, part) {
-                assert_root_refuted(&s, &q, 1, &format!("out-of-range j={j} partition {i}"));
+                assert_root_refuted(&s, &q, &format!("out-of-range j={j} partition {i}"));
             }
         }
     }
-}
-
-/// Deterministic 64-bit LCG (Knuth's MMIX multiplier), so the seeded
-/// systems below are bit-reproducible across platforms.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-
-    /// Uniform-ish draw from `[lo, hi]` (inclusive).
-    fn range(&mut self, lo: i64, hi: i64) -> i64 {
-        lo + (self.next() % ((hi - lo + 1) as u64)) as i64
-    }
-
-    fn pick(&mut self, vars: &[TermId]) -> TermId {
-        vars[self.range(0, vars.len() as i64 - 1) as usize]
-    }
-}
-
-/// One random comparison between `a` and `b + k` — the difference fragment
-/// the root zone pass decomposes.
-fn diff_cmp(pool: &mut TermPool, rng: &mut Lcg, vars: &[TermId]) -> TermId {
-    let a = rng.pick(vars);
-    let b = rng.pick(vars);
-    let k = pool.int(rng.range(-20, 20));
-    let rhs = pool.add(b, k);
-    match rng.range(0, 4) {
-        0 => pool.le(a, rhs),
-        1 => pool.lt(a, rhs),
-        2 => pool.ge(a, rhs),
-        3 => pool.gt(a, rhs),
-        _ => pool.eq(a, rhs),
-    }
-}
-
-/// One random constraint: a difference comparison, a unary bound, a
-/// disjunction of two difference comparisons, or — outside the zone
-/// fragment — a nonlinear comparison.
-fn constraint(pool: &mut TermPool, rng: &mut Lcg, vars: &[TermId]) -> TermId {
-    match rng.range(0, 9) {
-        0..=3 => diff_cmp(pool, rng, vars),
-        4..=5 => {
-            let a = rng.pick(vars);
-            let k = pool.int(rng.range(-120_000, 120_000));
-            if rng.range(0, 1) == 0 {
-                pool.le(a, k)
-            } else {
-                pool.ge(a, k)
-            }
-        }
-        6..=7 => {
-            let l = diff_cmp(pool, rng, vars);
-            let r = diff_cmp(pool, rng, vars);
-            pool.or(l, r)
-        }
-        _ => {
-            let a = rng.pick(vars);
-            let b = rng.pick(vars);
-            let k = pool.int(rng.range(-50, 50));
-            let ab = pool.mul(a, b);
-            pool.le(ab, k)
-        }
-    }
-}
-
-#[test]
-fn root_refutations_of_random_difference_systems_cost_one_node() {
-    let mut searched = 0usize;
-    for seed in 0..64u64 {
-        let mut s = subject();
-        let vars = [s.x, s.y, s.z];
-        let mut rng = Lcg(0x9E3779B97F4A7C15 ^ seed.wrapping_mul(0xBF58476D1CE4E5B9));
-        let n = rng.range(3, 7) as usize;
-        let query: Vec<TermId> = (0..n)
-            .map(|_| constraint(&mut s.pool, &mut rng, &vars))
-            .collect();
-        let solver = Solver::new(SolverConfig::default());
-        if solver.refute_root(&s.pool, &query, &s.domains) {
-            // A constant-false or complementary-literal system is refuted
-            // before the search starts (what a zero node budget still
-            // refutes); everything else at its root.
-            let fast = Solver::new(SolverConfig {
-                max_nodes: 0,
-                ..SolverConfig::default()
-            });
-            let nodes = u64::from(!fast.refute_root(&s.pool, &query, &s.domains));
-            searched += nodes as usize;
-            assert_root_refuted(&s, &query, nodes, &format!("seed {seed}"));
-        }
-    }
-    assert!(searched > 0, "no seeded system needed the root search node");
 }

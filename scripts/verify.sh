@@ -75,7 +75,7 @@ done < docs/metrics_allowlist.txt
 echo "==> observability: bench_obs --check (outcome identity + <3% overhead)"
 cargo run --release -q -p cpr-bench --bin bench_obs -- --check
 
-echo "==> incremental solving: bench_reduce --check (pool/stats/query identity across cache, thread, and incremental configs)"
+echo "==> reduce phase: bench_reduce --check (pool/stats/query identity across cache and thread configs)"
 cargo run --release -q -p cpr-bench --bin bench_reduce -- --check
 
 echo "==> fleet cache: bench_cache --check (report identity with the persistent solver cache absent, cold, and warm)"

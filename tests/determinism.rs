@@ -1,8 +1,7 @@
 //! Parallel phases must not change results: a full `repair()` run produces
 //! a bit-identical [`RepairReport`] at every thread count — this covers both
 //! the patch-space reduction walk and the generational-search expansion
-//! phase (prefix flips + path-reduction feasibility probes + the UNSAT-prefix
-//! store). This is the end-to-end guarantee behind `RepairConfig::threads` —
+//! phase (prefix flips + path-reduction feasibility probes). This is the end-to-end guarantee behind `RepairConfig::threads` —
 //! wall-clock is the only observable difference.
 
 use std::path::Path;
@@ -47,15 +46,6 @@ fn report_key(r: &RepairReport) -> String {
     )
 }
 
-/// Drops the query-count field — the only report field a pure
-/// accelerator (the UNSAT-prefix store) is allowed to move.
-fn strip_queries(key: &str) -> String {
-    key.split_whitespace()
-        .filter(|f| !f.starts_with("queries="))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 #[test]
 fn repair_is_bit_identical_across_thread_counts() {
     // Three supported subjects, small enough for a quick() budget but
@@ -89,24 +79,23 @@ fn repair_is_bit_identical_across_thread_counts() {
 fn repair_with_coverage_is_bit_identical_across_thread_counts() {
     // Coverage tracking adds model-counting work after the exploration
     // loop; it must be just as thread-count independent as the rest of the
-    // report, and disabling the UNSAT-prefix store must not break that.
+    // report.
     let subjects = all_subjects();
     let subject = subjects
         .iter()
         .find(|s| !s.not_supported)
         .expect("at least one supported subject");
     let problem = subject.problem();
-    let run = |threads: usize, unsat_prefix_capacity: usize| {
+    let run = |threads: usize| {
         let mut config = RepairConfig::quick();
         config.max_iterations = 12;
         config.track_coverage = true;
         config.threads = threads;
-        config.unsat_prefix_capacity = unsat_prefix_capacity;
         report_key(&repair(&problem, &config))
     };
-    let serial = run(1, 512);
+    let serial = run(1);
     for threads in [2, 8] {
-        let parallel = run(threads, 512);
+        let parallel = run(threads);
         assert_eq!(
             serial,
             parallel,
@@ -114,15 +103,6 @@ fn repair_with_coverage_is_bit_identical_across_thread_counts() {
             subject.name()
         );
     }
-    // The store is a pure accelerator: with it disabled the verdicts (and
-    // hence the whole report, minus query counts) must be unchanged.
-    let no_store = run(1, 0);
-    assert_eq!(
-        strip_queries(&serial),
-        strip_queries(&no_store),
-        "{}: UNSAT-prefix store changed observable results",
-        subject.name()
-    );
 }
 
 #[test]
@@ -333,72 +313,6 @@ fn order_independent_counter_totals_are_thread_count_invariant() {
         "{}: order-independent counter totals differ between 1 and 4 threads",
         subject.name()
     );
-}
-
-#[test]
-fn incremental_solving_never_changes_the_repair_report() {
-    // The incremental-solving subsystem — assertion frames with trail undo
-    // (`incremental`), no-good learning (`nogood_capacity`), and batched
-    // candidate checking (`batch_candidates`) — must be a pure accelerator:
-    // with all three on (the default) or all three off, the *full* report,
-    // query counts included, is bit-identical at 1 and 4 threads. Frames
-    // route every query through the same canonical-answer pipeline as a
-    // from-scratch check, and no-goods only pre-answer queries the search
-    // would refute anyway, so not even the issued-query counters may move.
-    let subjects = all_subjects();
-    let mut checked = 0;
-    for subject in subjects.iter().filter(|s| !s.not_supported).take(3) {
-        let name = subject.name();
-        let problem = subject.problem();
-        let run = |threads: usize, on: bool| {
-            let mut config = RepairConfig::quick();
-            config.max_iterations = 12;
-            config.threads = threads;
-            config.solver.incremental = on;
-            config.solver.batch_candidates = on;
-            config.solver.nogood_capacity = if on { 512 } else { 0 };
-            report_key(&repair(&problem, &config))
-        };
-        for threads in [1, 4] {
-            assert_eq!(
-                run(threads, true),
-                run(threads, false),
-                "{name}: incremental solving changed the report at {threads} threads"
-            );
-        }
-        checked += 1;
-    }
-    assert!(checked >= 3, "expected at least 3 supported subjects");
-}
-
-#[test]
-fn each_incremental_knob_is_independently_inert() {
-    // Same contract, one knob at a time: flipping any single knob off
-    // while the other two stay at their defaults changes nothing.
-    let subjects = all_subjects();
-    let subject = subjects
-        .iter()
-        .find(|s| !s.not_supported)
-        .expect("at least one supported subject");
-    let name = subject.name();
-    let problem = subject.problem();
-    let run = |mutate: &dyn Fn(&mut RepairConfig)| {
-        let mut config = RepairConfig::quick();
-        config.max_iterations = 12;
-        config.threads = 4;
-        mutate(&mut config);
-        report_key(&repair(&problem, &config))
-    };
-    type KnobOff = (&'static str, &'static dyn Fn(&mut RepairConfig));
-    let baseline = run(&|_| {});
-    let variants: [KnobOff; 3] = [
-        ("incremental off", &|c| c.solver.incremental = false),
-        ("no-goods off", &|c| c.solver.nogood_capacity = 0),
-        ("batching off", &|c| c.solver.batch_candidates = false),
-    ];
-    for (label, mutate) in variants {
-        assert_eq!(baseline, run(mutate), "{name}: {label} changed the report");
-    }
 }
 
 /// A scratch fleet-cache directory, cleaned before use.
