@@ -468,3 +468,113 @@ fn long_conjunction_with_negated_suffix() {
     let m = r.model().expect("satisfiable");
     assert!(m.satisfies(&pool, &conj));
 }
+
+/// FNV-1a accumulator for [`solver_answers_match_the_pinned_digest`].
+struct Fnv(u64);
+
+impl Fnv {
+    fn mix(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Pins the solver's exact answers, not only their soundness: verdict,
+/// witness model and search-node count of ~2,000 seeded random queries
+/// (nonlinear terms, `Or`/`Not`, a boolean flag, domains from tiny to the
+/// default, some node budgets small enough to end `Unknown`, some
+/// `count_models` bounds) fold into one FNV-1a digest. A change to the
+/// search kernel that claims to be answer-preserving must leave it
+/// unchanged; a deliberate change of answers re-pins it and says why.
+#[test]
+fn solver_answers_match_the_pinned_digest() {
+    const PINNED: u64 = 0x8879_bae1_75c9_e299;
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let (mut sat, mut unsat, mut unknown, mut counts) = (0u32, 0u32, 0u32, 0u32);
+    for case in 0..2_000u64 {
+        let mut rng = Rng::new(0x5eed_0000 + case);
+        let mut pool = TermPool::new();
+        let vs = [
+            pool.var("x", Sort::Int),
+            pool.var("y", Sort::Int),
+            pool.var("z", Sort::Int),
+        ];
+        let terms = vs.map(|v| pool.var_term(v));
+        let mut constraints: Vec<TermId> = (0..1 + rng.index(3))
+            .map(|_| {
+                let f = gen_fb(&mut rng, 3);
+                lower_fb(&mut pool, &f, &terms)
+            })
+            .collect();
+        if rng.index(6) == 0 {
+            let flag = pool.var("flag", Sort::Bool);
+            let b = pool.var_term(flag);
+            let c = constraints[0];
+            constraints[0] = pool.or(b, c);
+            let nb = pool.not(b);
+            constraints.push(nb);
+        }
+        let mut domains = Domains::new();
+        let half = [4, 60, 100_000][rng.index(3)];
+        for v in vs {
+            // Leave a variable unbounded (the default domain) now and then.
+            if rng.index(5) != 0 {
+                domains.bound(v, -half, half);
+            }
+        }
+        let max_nodes = if rng.index(4) == 0 {
+            rng.range(1, 40) as u64
+        } else {
+            400
+        };
+        let mut solver = Solver::new(SolverConfig {
+            max_nodes,
+            cache_capacity: 0,
+            ..SolverConfig::default()
+        });
+        if rng.index(8) == 0 {
+            counts += 1;
+            let c = solver.count_models(&pool, &constraints, &domains);
+            h.mix(3);
+            h.mix(c.lo as u64);
+            h.mix((c.lo >> 64) as u64);
+            h.mix(c.hi as u64);
+            h.mix((c.hi >> 64) as u64);
+        } else {
+            match solver.check(&pool, &constraints, &domains) {
+                SatResult::Sat(m) => {
+                    sat += 1;
+                    h.mix(0);
+                    for (v, value) in m.iter() {
+                        h.mix(v.index() as u64);
+                        match value {
+                            cpr_smt::Value::Int(i) => h.mix(i as u64),
+                            cpr_smt::Value::Bool(b) => h.mix(2 + u64::from(b)),
+                        }
+                    }
+                }
+                SatResult::Unsat => {
+                    unsat += 1;
+                    h.mix(1);
+                }
+                SatResult::Unknown => {
+                    unknown += 1;
+                    h.mix(2);
+                }
+            }
+        }
+        h.mix(solver.stats().nodes);
+    }
+    // The mix must exercise every answer kind, or the digest pins little.
+    assert!(
+        sat > 100 && unsat > 100 && unknown > 50 && counts > 100,
+        "sat {sat}, unsat {unsat}, unknown {unknown}, counts {counts}"
+    );
+    assert_eq!(
+        h.0, PINNED,
+        "solver answers changed: digest {:#018x} (sat {sat}, unsat {unsat}, unknown {unknown}, counts {counts})",
+        h.0
+    );
+}
