@@ -316,9 +316,11 @@ impl FleetCache {
         lock_inner(&self.inner).verdicts.get(key).cloned()
     }
 
-    /// Records a verdict (new keys only; at capacity the insert is
-    /// dropped — the store never evicts, see the design docs).
-    pub fn record_verdict(&self, key: FleetKey, verdict: FleetVerdict) {
+    /// Records the verdict `make` builds (new keys only; at capacity the
+    /// insert is dropped — the store never evicts, see the design docs).
+    /// `make` runs only when the insert happens, so a verdict the store
+    /// drops costs nothing to build (a `Sat` model names every variable).
+    pub fn record_verdict(&self, key: FleetKey, make: impl FnOnce() -> FleetVerdict) {
         let mut inner = lock_inner(&self.inner);
         if inner.disabled
             || inner.verdicts.contains_key(&key)
@@ -326,6 +328,7 @@ impl FleetCache {
         {
             return;
         }
+        let verdict = make();
         inner.pending.push(encode_verdict(&key, &verdict));
         inner.verdicts.insert(key, verdict);
     }
@@ -644,11 +647,10 @@ mod tests {
         {
             let cache = FleetCache::open_shared(&dir, 1024);
             assert!(cache.load_error().is_none());
-            cache.record_verdict(key(&[1, 2, 3], 7), FleetVerdict::Unsat);
-            cache.record_verdict(
-                key(&[4, 5], 7),
-                FleetVerdict::Sat(vec![("x".into(), Value::Int(9))]),
-            );
+            cache.record_verdict(key(&[1, 2, 3], 7), || FleetVerdict::Unsat);
+            cache.record_verdict(key(&[4, 5], 7), || {
+                FleetVerdict::Sat(vec![("x".into(), Value::Int(9))])
+            });
             cache.flush().expect("flush");
             drop(cache); // release the registry entry and the lock
         }
@@ -684,8 +686,8 @@ mod tests {
         let dir = temp_dir(tag);
         {
             let cache = FleetCache::open_shared(&dir, 1024);
-            cache.record_verdict(key(&[10, 20], 1), FleetVerdict::Unsat);
-            cache.record_verdict(key(&[10], 1), FleetVerdict::Unknown);
+            cache.record_verdict(key(&[10, 20], 1), || FleetVerdict::Unsat);
+            cache.record_verdict(key(&[10], 1), || FleetVerdict::Unknown);
             cache.flush().expect("flush");
         }
         corrupt(&dir.join("cache.log"));
@@ -703,7 +705,7 @@ mod tests {
         assert_eq!(cache.lookup_verdict(&key(&[10, 20], 1)), None);
         // Still writable: learning resumes and the next flush rewrites a
         // valid file (never appends after the corrupt prefix).
-        cache.record_verdict(key(&[30], 2), FleetVerdict::Unsat);
+        cache.record_verdict(key(&[30], 2), || FleetVerdict::Unsat);
         cache.flush().expect("recovery flush");
         drop(cache);
         let reopened = FleetCache::open_shared(&dir, 1024);
@@ -769,7 +771,7 @@ mod tests {
         assert_eq!(cache.load_error(), Some(FleetError::UnsupportedVersion(1)));
         assert_eq!(cache.entries(), 0, "cold: nothing loaded");
         assert_eq!(cache.lookup_verdict(&key(&[10, 20], 1)), None);
-        cache.record_verdict(key(&[30], 2), FleetVerdict::Unsat);
+        cache.record_verdict(key(&[30], 2), || FleetVerdict::Unsat);
         cache.flush().expect("recovery flush");
         drop(cache);
         let bytes = fs::read(dir.join("cache.log")).expect("read rewritten log");
@@ -820,7 +822,7 @@ mod tests {
         let dir = temp_dir("stray");
         {
             let cache = FleetCache::open_shared(&dir, 1024);
-            cache.record_verdict(key(&[1], 1), FleetVerdict::Unsat);
+            cache.record_verdict(key(&[1], 1), || FleetVerdict::Unsat);
             cache.flush().expect("flush");
         }
         fs::write(dir.join("README.txt"), b"not ours").expect("stray");
@@ -842,7 +844,7 @@ mod tests {
         fs::write(dir.join("cache.lock"), b"1").expect("lock");
         let cache = FleetCache::open_shared(&dir, 64);
         assert!(cache.read_only());
-        cache.record_verdict(key(&[5], 5), FleetVerdict::Unsat);
+        cache.record_verdict(key(&[5], 5), || FleetVerdict::Unsat);
         // Hits still come from memory; flush writes nothing.
         assert_eq!(
             cache.lookup_verdict(&key(&[5], 5)),
@@ -875,11 +877,18 @@ mod tests {
     fn capacity_bounds_inserts() {
         let dir = temp_dir("capacity");
         let cache = FleetCache::open_shared(&dir, 2);
-        cache.record_verdict(key(&[1], 0), FleetVerdict::Unsat);
-        cache.record_verdict(key(&[2], 0), FleetVerdict::Unknown);
-        cache.record_verdict(key(&[3], 0), FleetVerdict::Unsat);
+        cache.record_verdict(key(&[1], 0), || FleetVerdict::Unsat);
+        cache.record_verdict(key(&[2], 0), || FleetVerdict::Unknown);
+        let dropped = || -> FleetVerdict { panic!("a verdict the store drops must not be built") };
+        cache.record_verdict(key(&[3], 0), dropped);
         assert_eq!(cache.entries(), 2, "inserts beyond capacity are dropped");
         assert_eq!(cache.lookup_verdict(&key(&[3], 0)), None);
+        // A key already present is not rebuilt either.
+        cache.record_verdict(key(&[1], 0), dropped);
+        assert_eq!(
+            cache.lookup_verdict(&key(&[1], 0)),
+            Some(FleetVerdict::Unsat)
+        );
         drop(cache);
         let _ = fs::remove_dir_all(&dir);
     }

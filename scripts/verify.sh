@@ -46,11 +46,8 @@ for fixture in div_zero:possible-division-by-zero index_oob:possible-index-out-o
   }
 done
 
-echo "==> serve subsystem: unit tests (epoll loop, sharded scheduler, framing, admission)"
-cargo test -q --release -p cpr-serve --lib
-
-echo "==> serve subsystem: loopback server smoke tests (incl. stats verb + metrics allowlist)"
-cargo test -q --release -p cpr-serve --test server_smoke
+echo "==> every crate's tests, release (solver properties and pinned answers, cpr-core units, serve units + loopback smoke)"
+cargo test -q --release --workspace
 
 echo "==> serve subsystem: bench_serve --check (report identity, no timings)"
 cargo run --release -q -p cpr-serve --bin bench_serve -- --check
