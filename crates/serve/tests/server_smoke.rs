@@ -30,9 +30,23 @@ fn state_of(status: &Json) -> String {
 #[test]
 fn loopback_server_runs_cancels_and_resumes_jobs() {
     let subjects = all_subjects();
-    let mut supported = subjects.iter().filter(|s| !s.not_supported);
-    let subject_a = supported.next().expect("a supported subject").name();
-    let subject_b = supported.next().expect("two supported subjects").name();
+    let subject_a = subjects
+        .iter()
+        .find(|s| !s.not_supported)
+        .expect("a supported subject")
+        .name();
+    // The victim must still have work left when the cancel lands. Most
+    // subjects exhaust their inputs within a few iterations, in 0.1–0.3 s
+    // whatever the budget, so no budget escalation can outlast them; this
+    // one runs to its iteration budget, so a larger budget really leaves
+    // more work after the observation point.
+    let subject_b = "Binutils/CVE-2018-10372".to_string();
+    assert!(
+        subjects
+            .iter()
+            .any(|s| s.name() == subject_b && !s.not_supported),
+        "{subject_b} is a supported registry subject"
+    );
 
     let store_dir = std::env::temp_dir().join(format!("cpr_serve_smoke_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
