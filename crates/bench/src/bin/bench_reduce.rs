@@ -142,6 +142,7 @@ struct Outcome {
     stats: Vec<ReduceStats>,
     pool_after: usize,
     queries: u64,
+    unknown: u64,
     cache_hits: u64,
     cache_misses: u64,
     solve_mean_nanos: u64,
@@ -244,11 +245,12 @@ fn run_config(
     }
     eprintln!(
         "[bench_reduce] {label}: pool {pool_size} -> {}, {} reduce calls, {:.0} ms, \
-         {} queries, {} hits / {} misses, mean solve {:.1} us",
+         {} queries ({} unknown), {} hits / {} misses, mean solve {:.1} us",
         entries.len(),
         stats.len(),
         millis,
         solver_stats.queries,
+        solver_stats.unknown,
         solver_stats.cache_hits,
         solver_stats.cache_misses,
         solve_mean_nanos as f64 / 1e3
@@ -261,6 +263,7 @@ fn run_config(
         stats,
         pool_after: entries.len(),
         queries: solver_stats.queries,
+        unknown: solver_stats.unknown,
         cache_hits: solver_stats.cache_hits,
         cache_misses: solver_stats.cache_misses,
         solve_mean_nanos,
@@ -310,14 +313,20 @@ fn main() {
             "query count diverged in {}",
             other.label
         );
+        assert_eq!(
+            serial_nocache.unknown, other.unknown,
+            "Unknown count diverged in {}",
+            other.label
+        );
     }
 
     if check_mode {
         println!(
             "bench_reduce --check: 3 configs x {} reduce calls on a {}-entry pool: \
-             identical stats, pools, and query counts",
+             identical stats, pools, query and Unknown counts ({} Unknown)",
             serial_nocache.stats.len(),
-            pool_target
+            pool_target,
+            serial_nocache.unknown
         );
         return;
     }
@@ -349,7 +358,7 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"label\": \"{}\", \"threads\": {}, \"cache_capacity\": {}, \
-             \"millis\": {:.1}, \"solver_queries\": {}, \
+             \"millis\": {:.1}, \"solver_queries\": {}, \"solver_unknown\": {}, \
              \"cache_hits\": {}, \"cache_misses\": {}, \
              \"solve_mean_nanos\": {}, \"solve_p50_nanos\": {}, \
              \"solve_p90_nanos\": {}, \"solve_p99_nanos\": {}, \"comparable\": {}}}{comma}",
@@ -358,6 +367,7 @@ fn main() {
             o.cache_capacity,
             o.millis,
             o.queries,
+            o.unknown,
             o.cache_hits,
             o.cache_misses,
             o.solve_mean_nanos,

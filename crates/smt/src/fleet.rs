@@ -320,17 +320,19 @@ impl FleetCache {
     /// insert is dropped — the store never evicts, see the design docs).
     /// `make` runs only when the insert happens, so a verdict the store
     /// drops costs nothing to build (a `Sat` model names every variable).
-    pub fn record_verdict(&self, key: FleetKey, make: impl FnOnce() -> FleetVerdict) {
+    /// Returns whether the store kept the verdict.
+    pub fn record_verdict(&self, key: FleetKey, make: impl FnOnce() -> FleetVerdict) -> bool {
         let mut inner = lock_inner(&self.inner);
         if inner.disabled
             || inner.verdicts.contains_key(&key)
             || inner.verdicts.len() >= inner.capacity
         {
-            return;
+            return false;
         }
         let verdict = make();
         inner.pending.push(encode_verdict(&key, &verdict));
         inner.verdicts.insert(key, verdict);
+        true
     }
 
     /// Writes every verdict recorded since the last flush to `cache.log`.
@@ -877,14 +879,17 @@ mod tests {
     fn capacity_bounds_inserts() {
         let dir = temp_dir("capacity");
         let cache = FleetCache::open_shared(&dir, 2);
-        cache.record_verdict(key(&[1], 0), || FleetVerdict::Unsat);
-        cache.record_verdict(key(&[2], 0), || FleetVerdict::Unknown);
+        assert!(cache.record_verdict(key(&[1], 0), || FleetVerdict::Unsat));
+        assert!(cache.record_verdict(key(&[2], 0), || FleetVerdict::Unknown));
         let dropped = || -> FleetVerdict { panic!("a verdict the store drops must not be built") };
-        cache.record_verdict(key(&[3], 0), dropped);
+        assert!(
+            !cache.record_verdict(key(&[3], 0), dropped),
+            "an insert at capacity reports that it was dropped"
+        );
         assert_eq!(cache.entries(), 2, "inserts beyond capacity are dropped");
         assert_eq!(cache.lookup_verdict(&key(&[3], 0)), None);
-        // A key already present is not rebuilt either.
-        cache.record_verdict(key(&[1], 0), dropped);
+        // A key already present is not rebuilt either, nor counted as kept.
+        assert!(!cache.record_verdict(key(&[1], 0), dropped));
         assert_eq!(
             cache.lookup_verdict(&key(&[1], 0)),
             Some(FleetVerdict::Unsat)

@@ -166,7 +166,8 @@ pub struct SolverStats {
     pub fleet_hits: u64,
     /// Queries that consulted the fleet cache and missed.
     pub fleet_misses: u64,
-    /// Verdicts this solver recorded into the fleet cache.
+    /// Verdicts this solver recorded into the fleet cache (inserts the
+    /// store kept; a present key or a full store drops the insert).
     pub fleet_stores: u64,
     /// Whether the fleet store failed to load (degraded to a cold start):
     /// `1` on the solver that opened the errored store, else `0`. The
@@ -690,13 +691,15 @@ impl Solver {
         // function of the key as a decision is, and the capped searches
         // are the most expensive ones to redo in every job.
         if let (Some(fleet), Some(fkey)) = (&self.fleet, fleet_key) {
-            fleet.record_verdict(fkey, || match &result {
+            let kept = fleet.record_verdict(fkey, || match &result {
                 SatResult::Sat(m) => FleetVerdict::Sat(named_model(pool, m)),
                 SatResult::Unsat => FleetVerdict::Unsat,
                 SatResult::Unknown => FleetVerdict::Unknown,
             });
-            self.stats.fleet_stores += 1;
-            self.obs.fleet_stores.inc();
+            if kept {
+                self.stats.fleet_stores += 1;
+                self.obs.fleet_stores.inc();
+            }
         }
         result
     }
@@ -1330,6 +1333,9 @@ fn enclose_int(pool: &TermPool, t: TermId, vbox: &VarBox) -> Interval {
     match pool.data(t) {
         TermData::IntConst(v) => Interval::point(v),
         TermData::Var(v) => vbox.get(v),
+        // Hash-consing makes a repeated operand the same term, so `t * t`
+        // encloses as a square (`z*z` over [-k, k] is [0, k²], not [-k², k²]).
+        TermData::Arith(ArithOp::Mul, a, b) if a == b => enclose_int(pool, a, vbox).sqr(),
         TermData::Arith(op, a, b) => {
             let ia = enclose_int(pool, a, vbox);
             let ib = enclose_int(pool, b, vbox);
