@@ -192,6 +192,15 @@ impl TermDigests {
     }
 }
 
+/// Version of the `check` semantics themselves: bumped whenever the
+/// search can answer differently on identical content + knobs (e.g. v2
+/// added the relational zone pass at the root, turning some budget-capped
+/// `Unknown`s into `Unsat`; v3 encloses `t*t` as a square, which decides
+/// some `Unknown`s and changes some models). Folding it into every fleet
+/// key retires stale persisted verdicts wholesale instead of replaying
+/// them.
+const CHECK_SEMANTICS_VERSION: u32 = 3;
+
 /// The domain-environment half of a fleet key: a 64-bit digest over the
 /// solver knobs that can change a verdict (node budget, contraction
 /// rounds, default domain) and the per-variable domains, with variables
@@ -205,13 +214,6 @@ pub(crate) fn fleet_domain_digest(
     config: &SolverConfig,
 ) -> u64 {
     let mut w = ByteWriter::new();
-    // Version of the `check` semantics themselves: bumped whenever the
-    // search can answer differently on identical content + knobs (e.g.
-    // v2 added the relational zone pass at the root, turning some
-    // budget-capped `Unknown`s into `Unsat`). Folding it into every
-    // fleet key retires stale persisted verdicts wholesale instead of
-    // replaying them.
-    const CHECK_SEMANTICS_VERSION: u32 = 2;
     w.u32(CHECK_SEMANTICS_VERSION);
     w.u64(config.max_nodes);
     w.u32(config.max_contraction_rounds);
@@ -341,6 +343,26 @@ mod tests {
             fleet_domain_digest(&pool_a, &da, &config),
             fleet_domain_digest(&pool_a, &da, &narrower),
             "a verdict-relevant knob must change the digest"
+        );
+    }
+
+    /// Pins the fleet key of one fixed domain environment. A change to
+    /// what `check` answers on identical content and knobs must bump
+    /// `CHECK_SEMANTICS_VERSION` (so persisted verdicts from older
+    /// binaries stop matching) and re-pin this value; a change to the
+    /// digest's layout must re-pin it too.
+    #[test]
+    fn fleet_domain_digest_is_pinned() {
+        let mut pool = TermPool::new();
+        let x = pool.var("x", Sort::Int);
+        let y = pool.var("y", Sort::Int);
+        let mut domains = Domains::new();
+        domains.bound(x, -5, 5).bound(y, 0, 9);
+        let digest = fleet_domain_digest(&pool, &domains, &SolverConfig::default());
+        assert_eq!(CHECK_SEMANTICS_VERSION, 3);
+        assert_eq!(
+            digest, 15_305_116_399_421_404_660,
+            "fleet key changed: re-pin it on purpose"
         );
     }
 }
