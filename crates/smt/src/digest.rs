@@ -198,8 +198,9 @@ impl TermDigests {
 /// `Unknown`s into `Unsat`; v3 encloses `t*t` as a square, which decides
 /// some `Unknown`s and changes some models). Folding it into every fleet
 /// key retires stale persisted verdicts wholesale instead of replaying
-/// them.
-const CHECK_SEMANTICS_VERSION: u32 = 3;
+/// them, and the fleet log header carries it so a stale log is not loaded
+/// at all.
+pub(crate) const CHECK_SEMANTICS_VERSION: u32 = 3;
 
 /// The domain-environment half of a fleet key: a 64-bit digest over the
 /// solver knobs that can change a verdict (node budget, contraction

@@ -17,7 +17,8 @@
 //! One file, `cache.log`, in the cache directory:
 //!
 //! ```text
-//! header:  magic "CPRF" · u32 version (currently 2)
+//! header:  magic "CPRF" · u32 version (currently 3)
+//!          · u32 solver check-semantics version
 //! record:  u32 payload_len · payload · u64 fnv1a(payload)
 //! payload: u8 kind (0 = verdict/unsat, 1 = verdict/sat,
 //!          3 = verdict/unknown)
@@ -28,7 +29,11 @@
 //!
 //! Version 1 logs also held kind-2 no-good records (subset-subsumption
 //! entries); version 2 dropped that kind, and a version-1 log degrades to
-//! a cold start like any other version drift.
+//! a cold start like any other version drift. Version 3 added the check
+//! semantics version to the header: every key already folds it in, so the
+//! records of a log written under other semantics can never hit, and
+//! loading them would only fill the store's capacity. Such a log degrades
+//! to a cold start too.
 //!
 //! Writers append framed records; a flush is one `write` + `fsync`.
 //! Compaction — triggered when the log accumulates enough duplicate
@@ -64,6 +69,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
+use crate::digest::CHECK_SEMANTICS_VERSION;
 use crate::model::Value;
 use crate::wire::{fnv1a, read_value, write_value, ByteReader, ByteWriter};
 
@@ -98,6 +104,9 @@ pub enum FleetError {
     BadMagic,
     /// The file's format version is not understood.
     UnsupportedVersion(u32),
+    /// The file was written under another solver check-semantics version,
+    /// so none of its keys can match a query of this binary.
+    SemanticsDrift(u32),
     /// The file ends mid-record (torn append).
     Truncated,
     /// A record's checksum does not match its payload.
@@ -114,6 +123,9 @@ impl std::fmt::Display for FleetError {
             FleetError::BadMagic => write!(f, "not a fleet cache file (bad magic)"),
             FleetError::UnsupportedVersion(v) => {
                 write!(f, "unsupported fleet cache version {v}")
+            }
+            FleetError::SemanticsDrift(v) => {
+                write!(f, "fleet cache written under solver semantics {v}")
             }
             FleetError::Truncated => write!(f, "fleet cache log ends mid-record"),
             FleetError::ChecksumMismatch => write!(f, "fleet cache record checksum mismatch"),
@@ -137,13 +149,22 @@ pub struct FlushStats {
 }
 
 const MAGIC: &[u8; 4] = b"CPRF";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
+const HEADER_LEN: usize = 12;
 const KIND_UNSAT: u8 = 0;
 const KIND_SAT: u8 = 1;
 const KIND_UNKNOWN: u8 = 3;
 /// Compaction trigger: rewrite once the log holds this many records more
 /// than the live set (duplicates appended by other processes).
 const COMPACT_SLACK: u64 = 1024;
+
+/// The log header: magic, format version, check-semantics version.
+fn header() -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&CHECK_SEMANTICS_VERSION.to_le_bytes());
+    out
+}
 
 /// Fsyncs a directory, making a preceding `rename` within it durable.
 ///
@@ -365,11 +386,7 @@ impl FleetCache {
         }
         let path = self.dir.join("cache.log");
         let fresh = inner.disk_bytes == 0;
-        let mut out: Vec<u8> = Vec::new();
-        if fresh {
-            out.extend_from_slice(MAGIC);
-            out.extend_from_slice(&VERSION.to_le_bytes());
-        }
+        let mut out = if fresh { header() } else { Vec::new() };
         let appended = inner.pending.len();
         for payload in &inner.pending {
             frame_record(&mut out, payload);
@@ -399,9 +416,7 @@ impl FleetCache {
     /// file and atomically swaps it in (tmp + rename + directory fsync,
     /// the `SnapshotStore` pattern).
     fn rewrite_locked(&self, inner: &mut FleetInner) -> io::Result<FlushStats> {
-        let mut out: Vec<u8> = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
+        let mut out = header();
         let mut records = 0u64;
         for (key, verdict) in &inner.verdicts {
             frame_record(&mut out, &encode_verdict(key, verdict));
@@ -602,8 +617,15 @@ fn parse_log(bytes: &[u8]) -> Result<Vec<(FleetKey, FleetVerdict)>, FleetError> 
     if version != VERSION {
         return Err(FleetError::UnsupportedVersion(version));
     }
+    if bytes.len() < HEADER_LEN {
+        return Err(FleetError::Truncated);
+    }
+    let semantics = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    if semantics != CHECK_SEMANTICS_VERSION {
+        return Err(FleetError::SemanticsDrift(semantics));
+    }
     let mut records = Vec::new();
-    let mut at = 8usize;
+    let mut at = HEADER_LEN;
     while at < bytes.len() {
         if bytes.len() - at < 4 {
             return Err(FleetError::Truncated);
@@ -727,7 +749,7 @@ mod tests {
     fn checksum_flip_degrades_to_cold_start() {
         let (cache, dir) = corrupt_and_reopen("cksum", |log| {
             let mut bytes = fs::read(log).expect("read log");
-            let at = 12; // inside the first record's payload
+            let at = HEADER_LEN + 4; // inside the first record's payload
             bytes[at] ^= 0x40;
             fs::write(log, bytes).expect("flip");
         });
@@ -752,7 +774,7 @@ mod tests {
 
     /// A version-1 log (the format that also held no-good records, kind 2)
     /// is refused by version before any record is decoded: cold start,
-    /// and the first flush rewrites it as a version-2 log.
+    /// and the first flush rewrites it as a current-version log.
     #[test]
     fn version_1_log_with_a_nogood_record_degrades_to_cold_start() {
         let dir = temp_dir("v1");
@@ -785,14 +807,13 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Kind 2 is not a record kind in version 2: a checksum-valid kind-2
-    /// payload inside a version-2 log is corrupt, not a no-good.
+    /// Kind 2 is not a record kind since version 2: a checksum-valid
+    /// kind-2 payload inside a current log is corrupt, not a no-good.
     #[test]
-    fn kind_2_record_in_a_version_2_log_is_corrupt() {
+    fn kind_2_record_in_a_current_log_is_corrupt() {
         let dir = temp_dir("kind2");
         fs::create_dir_all(&dir).expect("mkdir");
-        let mut log: Vec<u8> = MAGIC.to_vec();
-        log.extend_from_slice(&VERSION.to_le_bytes());
+        let mut log = header();
         let mut nogood = ByteWriter::new();
         nogood.u8(2);
         write_key(&mut nogood, &key(&[10], 1));
@@ -805,6 +826,47 @@ mod tests {
         );
         assert_eq!(cache.entries(), 0);
         drop(cache);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A full log written under older check semantics loads nothing: its
+    /// keys can never hit, so keeping them would leave no room for the new
+    /// verdicts. The first flush rewrites it under the current semantics.
+    #[test]
+    fn older_semantics_log_frees_a_full_store_for_new_verdicts() {
+        let dir = temp_dir("semantics");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let old = CHECK_SEMANTICS_VERSION - 1;
+        let mut log: Vec<u8> = MAGIC.to_vec();
+        log.extend_from_slice(&VERSION.to_le_bytes());
+        log.extend_from_slice(&old.to_le_bytes());
+        for d in 0..4u128 {
+            frame_record(
+                &mut log,
+                &encode_verdict(&key(&[d], 1), &FleetVerdict::Unsat),
+            );
+        }
+        fs::write(dir.join("cache.log"), &log).expect("write old log");
+
+        let cache = FleetCache::open_shared(&dir, 4);
+        assert_eq!(cache.load_error(), Some(FleetError::SemanticsDrift(old)));
+        assert_eq!(cache.entries(), 0, "cold: nothing loaded");
+        assert!(
+            cache.record_verdict(key(&[9], 1), || FleetVerdict::Unsat),
+            "a store filled under older semantics must accept new verdicts"
+        );
+        cache.flush().expect("recovery flush");
+        drop(cache);
+        let bytes = fs::read(dir.join("cache.log")).expect("read rewritten log");
+        assert_eq!(&bytes[..HEADER_LEN], &header()[..]);
+        let reopened = FleetCache::open_shared(&dir, 4);
+        assert!(reopened.load_error().is_none());
+        assert_eq!(reopened.entries(), 1);
+        assert_eq!(
+            reopened.lookup_verdict(&key(&[9], 1)),
+            Some(FleetVerdict::Unsat)
+        );
+        drop(reopened);
         let _ = fs::remove_dir_all(&dir);
     }
 
