@@ -1,11 +1,13 @@
 //! The concolic executor: runs a subject program on a concrete input while
 //! building the symbolic path constraint, injecting the patch formula `ψ_ρ`
 //! at the hole, and capturing the specification `σ` at the bug location.
+//! The run is `cpr_lang::engine::run` with the term shadow below.
 
 use std::collections::HashMap;
 
-use cpr_lang::{ast::FunDecl, BinOp, Builtin, Expr, HoleKind, Outcome, Program, Stmt, Type, UnOp};
-use cpr_smt::{Model, Sort, TermId, TermPool, Value, VarId};
+use cpr_lang::engine::{self, patch_value, Env, Shadow, Slot};
+use cpr_lang::{BinOp, Builtin, Expr, HoleKind, Outcome, Program, UnOp};
+use cpr_smt::{Model, Sort, TermData, TermId, TermPool, Value, VarId};
 
 /// The patch inserted into the program's hole during a concolic run.
 ///
@@ -195,13 +197,11 @@ impl ConcolicResult {
 /// Substitutes the program variables of `theta` by their symbolic values at
 /// a hole observation (parameters and unknown names are left symbolic).
 fn substitute_theta(pool: &mut TermPool, theta: TermId, subst: &HashMap<String, TermId>) -> TermId {
-    let mut map: HashMap<VarId, TermId> = HashMap::new();
-    for v in pool.vars_of(theta) {
-        let name = pool.var_name(v).to_owned();
-        if let Some(&sym) = subst.get(&name) {
-            map.insert(v, sym);
-        }
-    }
+    let map: HashMap<VarId, TermId> = pool
+        .vars_of(theta)
+        .into_iter()
+        .filter_map(|v| subst.get(pool.var_name(v)).map(|&sym| (v, sym)))
+        .collect();
     pool.substitute(theta, &map)
 }
 
@@ -219,56 +219,6 @@ impl Default for ConcolicExecutor {
             max_path_len: 512,
         }
     }
-}
-
-#[derive(Debug, Clone)]
-enum Slot {
-    Int { c: i64, s: TermId },
-    Bool { c: bool, s: TermId },
-    Array(Vec<(i64, TermId)>),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct DualInt {
-    c: i64,
-    s: TermId,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct DualBool {
-    c: bool,
-    s: TermId,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Dual {
-    Int(DualInt),
-    Bool(DualBool),
-}
-
-enum Flow {
-    Normal,
-    Return(DualInt),
-    Stop(Outcome),
-}
-
-struct ExecState<'a> {
-    pool: &'a mut TermPool,
-    env: HashMap<String, Slot>,
-    functions: &'a [FunDecl],
-    patch: Option<&'a HolePatch>,
-    path: Vec<PathStep>,
-    sigma: Option<TermId>,
-    hit_patch: bool,
-    hit_bug: bool,
-    steps: u64,
-    max_steps: u64,
-    max_path_len: usize,
-    observations: Vec<HoleObservation>,
-    asserts: Vec<TermId>,
-    /// Observation index produced by the most recent hole evaluation, to be
-    /// attached to the branch constraint recorded right after.
-    pending_obs: Option<usize>,
 }
 
 impl ConcolicExecutor {
@@ -306,62 +256,61 @@ impl ConcolicExecutor {
         inputs: &Model,
         patch: Option<&HolePatch>,
     ) -> ConcolicResult {
-        let mut env = HashMap::new();
         let mut input_model = Model::new();
+        let mut bindings = Vec::with_capacity(program.inputs.len());
         for decl in &program.inputs {
             let var = pool.var(&decl.name, Sort::Int);
-            let sym = pool.var_term(var);
             let c = inputs.int(var).unwrap_or(decl.lo);
             input_model.set(var, c);
-            env.insert(decl.name.clone(), Slot::Int { c, s: sym });
+            bindings.push((c, pool.var_term(var)));
         }
-        let mut st = ExecState {
+        let mut shadow = TermShadow {
             pool,
-            env,
-            functions: &program.functions,
             patch,
+            max_path_len: self.max_path_len,
             path: Vec::new(),
             sigma: None,
-            hit_patch: false,
-            hit_bug: false,
-            steps: 0,
-            max_steps: self.max_steps,
-            max_path_len: self.max_path_len,
             observations: Vec::new(),
             asserts: Vec::new(),
             pending_obs: None,
         };
-        let outcome = match exec_stmts(&program.body, &mut st) {
-            Ok(Flow::Return(v)) => Outcome::Returned(v.c),
-            Ok(Flow::Normal) => Outcome::Returned(0),
-            Ok(Flow::Stop(o)) => o,
-            Err(o) => o,
-        };
+        let run = engine::run(program, bindings, self.max_steps, &mut shadow);
         ConcolicResult {
-            path: st.path,
-            sigma: st.sigma,
-            hit_patch: st.hit_patch,
-            hit_bug: st.hit_bug,
-            outcome,
+            path: shadow.path,
+            sigma: shadow.sigma,
+            hit_patch: run.patch_hits > 0,
+            hit_bug: run.bug_hits > 0,
+            outcome: run.outcome,
             inputs: input_model,
-            steps: st.steps,
-            observations: st.observations,
-            asserts: st.asserts,
+            steps: run.steps,
+            observations: shadow.observations,
+            asserts: shadow.asserts,
         }
     }
 }
 
-impl<'a> ExecState<'a> {
+/// The concolic run's shadow: a solver term per value, and the path
+/// constraint, hole observations, `σ` and assertions of the run.
+struct TermShadow<'a> {
+    pool: &'a mut TermPool,
+    patch: Option<&'a HolePatch>,
+    max_path_len: usize,
+    path: Vec<PathStep>,
+    sigma: Option<TermId>,
+    observations: Vec<HoleObservation>,
+    asserts: Vec<TermId>,
+    /// Observation index produced by the most recent hole evaluation, to be
+    /// attached to the branch constraint recorded right after.
+    pending_obs: Option<usize>,
+}
+
+impl TermShadow<'_> {
     /// Records a branch constraint. `polarity` is the direction taken; when
     /// the condition contained the patch hole, the pending observation is
     /// attached so Reduce can re-target the step at other patches.
     fn record(&mut self, constraint: TermId, polarity: bool, hole_in_cond: bool) {
-        use cpr_smt::TermData;
-        let patch_obs = if hole_in_cond {
-            self.pending_obs.take().map(|i| (i, polarity))
-        } else {
-            None
-        };
+        let pending = hole_in_cond.then(|| self.pending_obs.take()).flatten();
+        let patch_obs = pending.map(|i| (i, polarity));
         // Skip constants unless they anchor a patch observation.
         if matches!(self.pool.data(constraint), TermData::BoolConst(_)) && patch_obs.is_none() {
             return;
@@ -373,487 +322,100 @@ impl<'a> ExecState<'a> {
             });
         }
     }
+}
 
-    fn budget(&mut self) -> Result<(), Outcome> {
-        self.steps += 1;
-        if self.steps > self.max_steps {
-            Err(Outcome::StepLimit)
-        } else {
-            Ok(())
+impl Shadow for TermShadow<'_> {
+    type Term = TermId;
+    const GHOST: bool = true;
+
+    fn constant(&mut self, value: Value) -> TermId {
+        match value {
+            Value::Int(v) => self.pool.int(v),
+            Value::Bool(b) => self.pool.bool(b),
         }
     }
-}
 
-fn exec_stmts(stmts: &[Stmt], st: &mut ExecState<'_>) -> Result<Flow, Outcome> {
-    for s in stmts {
-        match exec_stmt(s, st)? {
-            Flow::Normal => {}
-            other => return Ok(other),
+    fn unary(&mut self, op: UnOp, a: TermId) -> TermId {
+        match op {
+            UnOp::Neg => self.pool.neg(a),
+            UnOp::Not => self.pool.not(a),
         }
     }
-    Ok(Flow::Normal)
-}
 
-/// Executes a block body with block-scoped declarations (matching the
-/// concrete interpreter).
-fn exec_block(stmts: &[Stmt], st: &mut ExecState<'_>) -> Result<Flow, Outcome> {
-    let before: Vec<String> = st.env.keys().cloned().collect();
-    let flow = exec_stmts(stmts, st);
-    st.env.retain(|k, _| before.iter().any(|b| b == k));
-    flow
-}
+    fn binary(&mut self, op: BinOp, a: TermId, b: TermId) -> TermId {
+        op.term(self.pool, a, b)
+    }
 
-fn exec_stmt(stmt: &Stmt, st: &mut ExecState<'_>) -> Result<Flow, Outcome> {
-    st.budget()?;
-    match stmt {
-        Stmt::Decl { name, ty, init, .. } => {
-            let slot = match (ty, init) {
-                (Type::IntArray(n), _) => {
-                    let zero = st.pool.int(0);
-                    Slot::Array(vec![(0, zero); *n])
-                }
-                (Type::Int, Some(e)) => {
-                    let v = eval_int(e, st)?;
-                    Slot::Int { c: v.c, s: v.s }
-                }
-                (Type::Int, None) => {
-                    let zero = st.pool.int(0);
-                    Slot::Int { c: 0, s: zero }
-                }
-                (Type::Bool, Some(e)) => {
-                    let v = eval_bool(e, st)?;
-                    Slot::Bool { c: v.c, s: v.s }
-                }
-                (Type::Bool, None) => {
-                    let f = st.pool.ff();
-                    Slot::Bool { c: false, s: f }
-                }
-            };
-            st.env.insert(name.clone(), slot);
-            Ok(Flow::Normal)
-        }
-        Stmt::Assign { name, value, .. } => {
-            let slot = match st.env.get(name) {
-                Some(Slot::Bool { .. }) => {
-                    let v = eval_bool(value, st)?;
-                    Slot::Bool { c: v.c, s: v.s }
-                }
-                _ => {
-                    let v = eval_int(value, st)?;
-                    Slot::Int { c: v.c, s: v.s }
-                }
-            };
-            st.env.insert(name.clone(), slot);
-            Ok(Flow::Normal)
-        }
-        Stmt::AssignIndex {
-            name,
-            index,
-            value,
-            span,
-        } => {
-            let idx = eval_int(index, st)?;
-            let val = eval_int(value, st)?;
-            // Concretize the index (standard concolic treatment of memory):
-            // pin the symbolic index to its concrete value on this path.
-            let idx_c = st.pool.int(idx.c);
-            let pin = st.pool.eq(idx.s, idx_c);
-            st.record(pin, true, false);
-            match st.env.get_mut(name) {
-                Some(Slot::Array(arr)) => {
-                    if idx.c < 0 || idx.c as usize >= arr.len() {
-                        return Err(Outcome::Crash {
-                            kind: cpr_lang::CrashKind::IndexOutOfBounds,
-                            span: *span,
-                        });
-                    }
-                    arr[idx.c as usize] = (val.c, val.s);
-                    Ok(Flow::Normal)
-                }
-                _ => unreachable!("type checker guarantees array target"),
+    fn builtin(&mut self, f: Builtin, a: TermId, b: TermId) -> TermId {
+        f.term(self.pool, a, b)
+    }
+
+    fn branch(&mut self, cond: &Expr, term: TermId, taken: bool) {
+        let oriented = if taken { term } else { self.pool.not(term) };
+        self.record(oriented, taken, cond.contains_hole());
+    }
+
+    /// Concretizes the index (standard concolic treatment of memory): pins
+    /// the symbolic index to its concrete value on this path.
+    fn pin(&mut self, index: TermId, value: i64) {
+        let c = self.pool.int(value);
+        let pin = self.pool.eq(index, c);
+        self.record(pin, true, false);
+    }
+
+    fn hole(&mut self, kind: HoleKind, env: &Env<TermId>) -> Option<(Value, TermId)> {
+        let patch = self.patch?;
+        // Snapshot the symbolic environment: this observation is the
+        // first-order encoding of ψ_ρ and lets Reduce re-target the path at
+        // every patch in the pool.
+        let subst: HashMap<String, TermId> = env
+            .iter()
+            .filter_map(|(name, slot)| match slot {
+                Slot::Int(_, s) | Slot::Bool(_, s) => Some((name.clone(), *s)),
+                Slot::Array(_) => None,
+            })
+            .collect();
+        // Symbolic value of θ_ρ0 here: program variables replaced by their
+        // symbolic values, parameters left free.
+        let psi = substitute_theta(self.pool, patch.theta, &subst);
+        let concrete = patch_value(self.pool, patch.theta, &patch.params, env);
+        let obs_idx = self.observations.len();
+        self.pending_obs = Some(obs_idx);
+        match kind {
+            HoleKind::Cond => {
+                self.observations.push(HoleObservation {
+                    subst,
+                    out_var: None,
+                });
+                Some((concrete, psi))
             }
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-            ..
-        } => {
-            let c = eval_bool(cond, st)?;
-            let hole = cond.contains_hole();
-            if c.c {
-                st.record(c.s, true, hole);
-                exec_block(then_body, st)
-            } else {
-                let neg = st.pool.not(c.s);
-                st.record(neg, false, hole);
-                exec_block(else_body, st)
-            }
-        }
-        Stmt::While { cond, body, .. } => {
-            loop {
-                st.budget()?;
-                let c = eval_bool(cond, st)?;
-                let hole = cond.contains_hole();
-                if c.c {
-                    st.record(c.s, true, hole);
-                    match exec_block(body, st)? {
-                        Flow::Normal => {}
-                        other => return Ok(other),
-                    }
-                } else {
-                    let neg = st.pool.not(c.s);
-                    st.record(neg, false, hole);
-                    break;
-                }
-            }
-            Ok(Flow::Normal)
-        }
-        Stmt::Return { value, .. } => {
-            let v = eval_int(value, st)?;
-            Ok(Flow::Return(v))
-        }
-        Stmt::Assert { cond, span } => {
-            let c = eval_bool(cond, st)?;
-            st.asserts.push(c.s);
-            if c.c {
-                Ok(Flow::Normal)
-            } else {
-                Ok(Flow::Stop(Outcome::AssertFailed { span: *span }))
-            }
-        }
-        Stmt::Assume { cond, .. } => {
-            let c = eval_bool(cond, st)?;
-            if c.c {
-                st.record(c.s, true, cond.contains_hole());
-                Ok(Flow::Normal)
-            } else {
-                Ok(Flow::Stop(Outcome::AssumeFailed))
-            }
-        }
-        Stmt::Bug { name, spec, span } => {
-            st.hit_bug = true;
-            let c = eval_bool(spec, st)?;
-            // Capture σ symbolically regardless of the concrete verdict.
-            st.sigma = Some(match st.sigma {
-                None => c.s,
-                Some(prev) => st.pool.and(prev, c.s),
-            });
-            if c.c {
-                Ok(Flow::Normal)
-            } else {
-                Ok(Flow::Stop(Outcome::SpecViolated {
-                    bug: name.clone(),
-                    span: *span,
-                }))
+            HoleKind::IntExpr => {
+                // Route the value through a fresh output variable so that
+                // downstream constraints stay patch-independent; the
+                // defining equation is itself a patch step.
+                let out_var = self.pool.var(&format!("__hole_{obs_idx}"), Sort::Int);
+                self.observations.push(HoleObservation {
+                    subst,
+                    out_var: Some(out_var),
+                });
+                let hv = self.pool.var_term(out_var);
+                let eq = self.pool.eq(hv, psi);
+                self.record(eq, true, true);
+                Some((concrete, hv))
             }
         }
     }
-}
 
-fn eval_int(e: &Expr, st: &mut ExecState<'_>) -> Result<DualInt, Outcome> {
-    match eval(e, st)? {
-        Dual::Int(v) => Ok(v),
-        Dual::Bool(_) => unreachable!("type checker guarantees int expression"),
+    fn assert(&mut self, cond: TermId) {
+        self.asserts.push(cond);
     }
-}
 
-fn eval_bool(e: &Expr, st: &mut ExecState<'_>) -> Result<DualBool, Outcome> {
-    match eval(e, st)? {
-        Dual::Bool(v) => Ok(v),
-        Dual::Int(_) => unreachable!("type checker guarantees bool expression"),
-    }
-}
-
-fn eval(e: &Expr, st: &mut ExecState<'_>) -> Result<Dual, Outcome> {
-    match e {
-        Expr::Int(v, _) => {
-            let s = st.pool.int(*v);
-            Ok(Dual::Int(DualInt { c: *v, s }))
-        }
-        Expr::Bool(b, _) => {
-            let s = st.pool.bool(*b);
-            Ok(Dual::Bool(DualBool { c: *b, s }))
-        }
-        Expr::Var(name, _) => match st.env.get(name) {
-            Some(Slot::Int { c, s }) => Ok(Dual::Int(DualInt { c: *c, s: *s })),
-            Some(Slot::Bool { c, s }) => Ok(Dual::Bool(DualBool { c: *c, s: *s })),
-            _ => unreachable!("type checker guarantees declared scalar"),
-        },
-        Expr::Index(name, idx, span) => {
-            let i = eval_int(idx, st)?;
-            let idx_c = st.pool.int(i.c);
-            let pin = st.pool.eq(i.s, idx_c);
-            st.record(pin, true, false);
-            match st.env.get(name) {
-                Some(Slot::Array(arr)) => {
-                    if i.c < 0 || i.c as usize >= arr.len() {
-                        Err(Outcome::Crash {
-                            kind: cpr_lang::CrashKind::IndexOutOfBounds,
-                            span: *span,
-                        })
-                    } else {
-                        let (c, s) = arr[i.c as usize];
-                        Ok(Dual::Int(DualInt { c, s }))
-                    }
-                }
-                _ => unreachable!("type checker guarantees array"),
-            }
-        }
-        Expr::Unary(UnOp::Neg, inner, _) => {
-            let v = eval_int(inner, st)?;
-            let s = st.pool.neg(v.s);
-            Ok(Dual::Int(DualInt {
-                c: v.c.saturating_neg(),
-                s,
-            }))
-        }
-        Expr::Unary(UnOp::Not, inner, _) => {
-            let v = eval_bool(inner, st)?;
-            let s = st.pool.not(v.s);
-            Ok(Dual::Bool(DualBool { c: !v.c, s }))
-        }
-        Expr::Binary(op, a, b, span) => {
-            if matches!(op, BinOp::And | BinOp::Or) {
-                // Symbolically non-short-circuit (term construction is
-                // total); concretely both operands are pure, so evaluating
-                // the right side cannot change observable state except via
-                // crashes, which the symbolic term algebra totalizes.
-                let x = eval_bool(a, st)?;
-                let y = eval_bool(b, st)?;
-                let (c, s) = match op {
-                    BinOp::And => (x.c && y.c, st.pool.and(x.s, y.s)),
-                    BinOp::Or => (x.c || y.c, st.pool.or(x.s, y.s)),
-                    _ => unreachable!(),
-                };
-                return Ok(Dual::Bool(DualBool { c, s }));
-            }
-            let x = eval_int(a, st)?;
-            let y = eval_int(b, st)?;
-            match op {
-                BinOp::Add => Ok(Dual::Int(DualInt {
-                    c: x.c.saturating_add(y.c),
-                    s: st.pool.add(x.s, y.s),
-                })),
-                BinOp::Sub => Ok(Dual::Int(DualInt {
-                    c: x.c.saturating_sub(y.c),
-                    s: st.pool.sub(x.s, y.s),
-                })),
-                BinOp::Mul => Ok(Dual::Int(DualInt {
-                    c: x.c.saturating_mul(y.c),
-                    s: st.pool.mul(x.s, y.s),
-                })),
-                BinOp::Div => {
-                    if y.c == 0 {
-                        return Err(Outcome::Crash {
-                            kind: cpr_lang::CrashKind::DivByZero,
-                            span: *span,
-                        });
-                    }
-                    Ok(Dual::Int(DualInt {
-                        c: x.c.wrapping_div(y.c),
-                        s: st.pool.div(x.s, y.s),
-                    }))
-                }
-                BinOp::Rem => {
-                    if y.c == 0 {
-                        return Err(Outcome::Crash {
-                            kind: cpr_lang::CrashKind::RemByZero,
-                            span: *span,
-                        });
-                    }
-                    Ok(Dual::Int(DualInt {
-                        c: x.c.wrapping_rem(y.c),
-                        s: st.pool.rem(x.s, y.s),
-                    }))
-                }
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    let cmp_op = match op {
-                        BinOp::Eq => cpr_smt::CmpOp::Eq,
-                        BinOp::Ne => cpr_smt::CmpOp::Ne,
-                        BinOp::Lt => cpr_smt::CmpOp::Lt,
-                        BinOp::Le => cpr_smt::CmpOp::Le,
-                        BinOp::Gt => cpr_smt::CmpOp::Gt,
-                        _ => cpr_smt::CmpOp::Ge,
-                    };
-                    let c = cmp_op.apply(x.c, y.c);
-                    let s = st.pool.cmp(cmp_op, x.s, y.s);
-                    Ok(Dual::Bool(DualBool { c, s }))
-                }
-                BinOp::And | BinOp::Or => unreachable!("handled above"),
-            }
-        }
-        Expr::Call(builtin, args, span) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_int(a, st)?);
-            }
-            match builtin {
-                Builtin::Min => {
-                    let cond = st.pool.le(vals[0].s, vals[1].s);
-                    let s = st.pool.ite(cond, vals[0].s, vals[1].s);
-                    Ok(Dual::Int(DualInt {
-                        c: vals[0].c.min(vals[1].c),
-                        s,
-                    }))
-                }
-                Builtin::Max => {
-                    let cond = st.pool.ge(vals[0].s, vals[1].s);
-                    let s = st.pool.ite(cond, vals[0].s, vals[1].s);
-                    Ok(Dual::Int(DualInt {
-                        c: vals[0].c.max(vals[1].c),
-                        s,
-                    }))
-                }
-                Builtin::Abs => {
-                    let zero = st.pool.int(0);
-                    let cond = st.pool.ge(vals[0].s, zero);
-                    let negated = st.pool.neg(vals[0].s);
-                    let s = st.pool.ite(cond, vals[0].s, negated);
-                    Ok(Dual::Int(DualInt {
-                        c: vals[0].c.saturating_abs(),
-                        s,
-                    }))
-                }
-                Builtin::Roundup => {
-                    let (a, b) = (vals[0], vals[1]);
-                    if b.c == 0 {
-                        return Err(Outcome::Crash {
-                            kind: cpr_lang::CrashKind::RoundupByZero,
-                            span: *span,
-                        });
-                    }
-                    // ((a + b - 1) / b) * b with the pool's total division.
-                    let one = st.pool.int(1);
-                    let ab = st.pool.add(a.s, b.s);
-                    let ab1 = st.pool.sub(ab, one);
-                    let q = st.pool.div(ab1, b.s);
-                    let s = st.pool.mul(q, b.s);
-                    Ok(Dual::Int(DualInt {
-                        c: ((a.c + b.c - 1) / b.c) * b.c,
-                        s,
-                    }))
-                }
-            }
-        }
-        Expr::UserCall(name, args, _) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_int(a, st)?);
-            }
-            let f = st
-                .functions
-                .iter()
-                .find(|f| f.name == *name)
-                .expect("type checker guarantees declared function");
-            // Pure call in a fresh scope; branch constraints inside the
-            // function body are recorded into the caller's path (the
-            // partition includes the callee's control flow, exactly as if
-            // the call were inlined).
-            let mut callee_env: HashMap<String, Slot> = HashMap::new();
-            for (p, v) in f.params.iter().zip(vals) {
-                callee_env.insert(p.clone(), Slot::Int { c: v.c, s: v.s });
-            }
-            let saved = std::mem::replace(&mut st.env, callee_env);
-            let flow = exec_stmts(&f.body, st);
-            st.env = saved;
-            match flow? {
-                Flow::Return(v) => Ok(Dual::Int(v)),
-                Flow::Normal => {
-                    let zero = st.pool.int(0);
-                    Ok(Dual::Int(DualInt { c: 0, s: zero }))
-                }
-                Flow::Stop(o) => Err(o),
-            }
-        }
-        Expr::Hole(kind, _, _) => {
-            st.hit_patch = true;
-            let Some(patch) = st.patch else {
-                return Err(Outcome::MissingPatch);
-            };
-            // Snapshot the symbolic environment: this observation is the
-            // first-order encoding of ψ_ρ and lets Reduce re-target the
-            // path at every patch in the pool.
-            let mut subst_by_name: HashMap<String, TermId> = HashMap::new();
-            for (name, slot) in &st.env {
-                let sym = match slot {
-                    Slot::Int { s, .. } | Slot::Bool { s, .. } => *s,
-                    Slot::Array(_) => continue,
-                };
-                subst_by_name.insert(name.clone(), sym);
-            }
-
-            // Symbolic value of θ_ρ0 at this point: program variables
-            // replaced by their symbolic values, parameters left free.
-            let mut subst: HashMap<VarId, TermId> = HashMap::new();
-            let theta_vars = st.pool.vars_of(patch.theta);
-            for v in theta_vars {
-                let name = st.pool.var_name(v).to_owned();
-                if let Some(&sym) = subst_by_name.get(&name) {
-                    subst.insert(v, sym);
-                }
-            }
-            let psi = st.pool.substitute(patch.theta, &subst);
-
-            // Concrete evaluation: parameters from the representative
-            // binding, program variables from the concrete environment.
-            let mut model = patch.params.clone();
-            let theta_vars = st.pool.vars_of(patch.theta);
-            for v in theta_vars {
-                if model.get(v).is_none() {
-                    let name = st.pool.var_name(v).to_owned();
-                    if let Some(slot) = st.env.get(&name) {
-                        match slot {
-                            Slot::Int { c, .. } => {
-                                model.set(v, *c);
-                            }
-                            Slot::Bool { c, .. } => {
-                                model.set(v, i64::from(*c));
-                            }
-                            Slot::Array(_) => {}
-                        }
-                    }
-                }
-            }
-            let concrete = model.eval(st.pool, patch.theta);
-            match kind {
-                HoleKind::Cond => {
-                    let obs_idx = st.observations.len();
-                    st.observations.push(HoleObservation {
-                        subst: subst_by_name,
-                        out_var: None,
-                    });
-                    st.pending_obs = Some(obs_idx);
-                    let c = match concrete {
-                        Value::Bool(b) => b,
-                        Value::Int(v) => v != 0,
-                    };
-                    Ok(Dual::Bool(DualBool { c, s: psi }))
-                }
-                HoleKind::IntExpr => {
-                    // Route the value through a fresh output variable so
-                    // that downstream constraints stay patch-independent.
-                    let obs_idx = st.observations.len();
-                    let out_var = st
-                        .pool
-                        .var(&format!("__hole_{obs_idx}"), cpr_smt::Sort::Int);
-                    st.observations.push(HoleObservation {
-                        subst: subst_by_name,
-                        out_var: Some(out_var),
-                    });
-                    let hv = st.pool.var_term(out_var);
-                    let eq = st.pool.eq(hv, psi);
-                    // The defining equation is itself a patch step.
-                    st.pending_obs = Some(obs_idx);
-                    st.record(eq, true, true);
-                    let c = match concrete {
-                        Value::Int(v) => v,
-                        Value::Bool(b) => i64::from(b),
-                    };
-                    Ok(Dual::Int(DualInt { c, s: hv }))
-                }
-            }
-        }
+    fn bug(&mut self, spec: TermId) {
+        // σ is captured symbolically whatever the concrete verdict.
+        self.sigma = Some(match self.sigma {
+            None => spec,
+            Some(prev) => self.pool.and(prev, spec),
+        });
     }
 }
 
@@ -1206,6 +768,99 @@ mod tests {
         assert_eq!(r.outcome, Outcome::Returned(10));
         // One branch per recursive activation (4 false + 1 base case).
         assert_eq!(r.path.len(), 5);
+    }
+
+    #[test]
+    fn decided_operands_are_ghosts() {
+        // The right operand calls a loop the left operand decides away: it
+        // costs no steps, but its term and the callee's branches, which hold
+        // under the input, are still recorded.
+        let prog = parse(
+            "program p {
+               fn count(n: int) -> int {
+                 var i: int = 0;
+                 while (i < n) { i = i + 1; }
+                 return i;
+               }
+               input x in [0, 9];
+               if (x > 100 && count(x) + x > 3) { return 1; }
+               return 0;
+             }",
+        )
+        .unwrap();
+        check(&prog).unwrap();
+        let mut pool = TermPool::new();
+        let inputs = input_model(&mut pool, &[("x", 2)]);
+        let r = ConcolicExecutor::new().execute(&mut pool, &prog, &inputs, None);
+        let concrete =
+            cpr_lang::Interp::new().run(&prog, &[("x".to_string(), 2)].into_iter().collect(), None);
+        assert_eq!(r.outcome, Outcome::Returned(0));
+        assert_eq!(r.steps, concrete.steps);
+        let shown: Vec<String> = r.path.iter().map(|s| pool.display(s.constraint)).collect();
+        assert_eq!(
+            shown,
+            [
+                "(< 0 x)",
+                "(< 1 x)",
+                "(>= 2 x)",
+                "(not (and (> x 100) (> (+ 2 x) 3)))"
+            ]
+        );
+        for step in &r.path {
+            assert!(r.inputs.eval_bool(&pool, step.constraint));
+        }
+    }
+
+    #[test]
+    fn runaway_ghost_keeps_the_left_term() {
+        let prog = parse(
+            "program p {
+               fn spin(n: int) -> int { return spin(n); }
+               input x in [0, 9];
+               if (x > 100 && spin(x) > 3) { return 1; }
+               return 0;
+             }",
+        )
+        .unwrap();
+        check(&prog).unwrap();
+        let mut pool = TermPool::new();
+        let inputs = input_model(&mut pool, &[("x", 2)]);
+        let r = ConcolicExecutor::with_budgets(200, 512).execute(&mut pool, &prog, &inputs, None);
+        assert_eq!(r.outcome, Outcome::Returned(0));
+        let shown: Vec<String> = r.path.iter().map(|s| pool.display(s.constraint)).collect();
+        assert_eq!(shown, ["(<= x 100)"]);
+    }
+
+    #[test]
+    fn ghost_hole_is_observed_but_not_hit() {
+        let prog = parse(
+            "program p {
+               input x in [-10, 10];
+               if (x > 100 && __patch_cond__(x)) { return 1; }
+               return 0;
+             }",
+        )
+        .unwrap();
+        check(&prog).unwrap();
+        let mut pool = TermPool::new();
+        let x = pool.named_var("x", Sort::Int);
+        let a_var = pool.var("a", Sort::Int);
+        let a = pool.var_term(a_var);
+        let theta = pool.ge(x, a);
+        let mut params = Model::new();
+        params.set(a_var, 4i64);
+        let patch = HolePatch { theta, params };
+        let inputs = input_model(&mut pool, &[("x", 7)]);
+        let r = ConcolicExecutor::new().execute(&mut pool, &prog, &inputs, Some(&patch));
+        assert_eq!(r.outcome, Outcome::Returned(0));
+        assert!(!r.hit_patch, "the hole never ran concretely");
+        // The branch carries ψ, so it stays re-targetable at other patches.
+        assert_eq!(r.observations.len(), 1);
+        assert_eq!(
+            pool.display(r.path[0].constraint),
+            "(not (and (> x 100) (>= x a)))"
+        );
+        assert!(r.path[0].from_patch());
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! exercised (`hit_patch` / `hit_bug` in the paper's Algorithm 1), and
 //! captures the specification `σ` at the bug location.
 //!
+//! It has no interpreter of its own. [`ConcolicExecutor::execute`] runs
+//! `cpr-lang`'s one engine (`cpr_lang::engine`) with a term shadow: the
+//! engine decides control flow, crashes and the step budget exactly as for
+//! the concrete interpreter, and the shadow builds a pool term for every
+//! value and records the branch steps, index pins, hole observations, `σ`
+//! and assertions. A concolic run is therefore the concrete run plus a
+//! record of what its branches say about the symbolic inputs.
+//!
 //! [`search`] implements the generational-search input generation of §3.4:
 //! negate every suffix term of the last path constraint, keep a dedup set of
 //! prefixes, and score candidate inputs by patch/bug-location evidence.

@@ -5,8 +5,8 @@
 //! into a pool term over variables named after the program variables, which
 //! is exactly the form the synthesizer and concolic engine use for `θ_ρ`.
 
-use cpr_lang::{BinOp, Builtin, Expr, UnOp};
-use cpr_smt::{CmpOp, Sort, TermId, TermPool};
+use cpr_lang::{Expr, UnOp};
+use cpr_smt::{Sort, TermId, TermPool};
 
 /// Error for expressions that cannot be lowered (holes, array accesses).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,50 +47,15 @@ pub fn lower_expr(pool: &mut TermPool, e: &Expr) -> Result<TermId, LowerError> {
         Expr::Binary(op, a, b, _) => {
             let x = lower_expr(pool, a)?;
             let y = lower_expr(pool, b)?;
-            Ok(match op {
-                BinOp::Add => pool.add(x, y),
-                BinOp::Sub => pool.sub(x, y),
-                BinOp::Mul => pool.mul(x, y),
-                BinOp::Div => pool.div(x, y),
-                BinOp::Rem => pool.rem(x, y),
-                BinOp::Eq => pool.cmp(CmpOp::Eq, x, y),
-                BinOp::Ne => pool.cmp(CmpOp::Ne, x, y),
-                BinOp::Lt => pool.cmp(CmpOp::Lt, x, y),
-                BinOp::Le => pool.cmp(CmpOp::Le, x, y),
-                BinOp::Gt => pool.cmp(CmpOp::Gt, x, y),
-                BinOp::Ge => pool.cmp(CmpOp::Ge, x, y),
-                BinOp::And => pool.and(x, y),
-                BinOp::Or => pool.or(x, y),
-            })
+            Ok(op.term(pool, x, y))
         }
         Expr::Call(builtin, args, _) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(lower_expr(pool, a)?);
-            }
-            Ok(match builtin {
-                Builtin::Min => {
-                    let c = pool.le(vals[0], vals[1]);
-                    pool.ite(c, vals[0], vals[1])
-                }
-                Builtin::Max => {
-                    let c = pool.ge(vals[0], vals[1]);
-                    pool.ite(c, vals[0], vals[1])
-                }
-                Builtin::Abs => {
-                    let zero = pool.int(0);
-                    let c = pool.ge(vals[0], zero);
-                    let n = pool.neg(vals[0]);
-                    pool.ite(c, vals[0], n)
-                }
-                Builtin::Roundup => {
-                    let one = pool.int(1);
-                    let ab = pool.add(vals[0], vals[1]);
-                    let ab1 = pool.sub(ab, one);
-                    let q = pool.div(ab1, vals[1]);
-                    pool.mul(q, vals[1])
-                }
-            })
+            let a = lower_expr(pool, &args[0])?;
+            let b = match args.get(1) {
+                Some(arg) => lower_expr(pool, arg)?,
+                None => a,
+            };
+            Ok(builtin.term(pool, a, b))
         }
     }
 }

@@ -14,6 +14,8 @@
 
 use std::fmt;
 
+use cpr_smt::{ArithOp, CmpOp, TermId, TermPool};
+
 /// A half-open byte range into the source text, for diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct Span {
@@ -111,6 +113,41 @@ impl BinOp {
     pub fn is_logical(self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)
     }
+
+    /// The term algebra's operator for an arithmetic `BinOp`.
+    pub fn arith(self) -> Option<ArithOp> {
+        Some(match self {
+            BinOp::Add => ArithOp::Add,
+            BinOp::Sub => ArithOp::Sub,
+            BinOp::Mul => ArithOp::Mul,
+            BinOp::Div => ArithOp::Div,
+            BinOp::Rem => ArithOp::Rem,
+            _ => return None,
+        })
+    }
+
+    /// The term algebra's operator for a comparison `BinOp`.
+    pub fn cmp(self) -> Option<CmpOp> {
+        Some(match self {
+            BinOp::Eq => CmpOp::Eq,
+            BinOp::Ne => CmpOp::Ne,
+            BinOp::Lt => CmpOp::Lt,
+            BinOp::Le => CmpOp::Le,
+            BinOp::Gt => CmpOp::Gt,
+            BinOp::Ge => CmpOp::Ge,
+            _ => return None,
+        })
+    }
+
+    /// The term of `a op b` (the term algebra's `/` and `%` are total).
+    pub fn term(self, pool: &mut TermPool, a: TermId, b: TermId) -> TermId {
+        match (self.arith(), self.cmp()) {
+            (Some(arith), _) => pool.arith(arith, a, b),
+            (_, Some(cmp)) => pool.cmp(cmp, a, b),
+            _ if self == BinOp::And => pool.and(a, b),
+            _ => pool.or(a, b),
+        }
+    }
 }
 
 impl fmt::Display for BinOp {
@@ -193,6 +230,34 @@ impl Builtin {
             Builtin::Max => "max",
             Builtin::Abs => "abs",
             Builtin::Roundup => "roundup",
+        }
+    }
+
+    /// The term of a call on `a` and `b` (`abs` ignores `b`); `roundup` is
+    /// `((a + b - 1) / b) * b` with the term algebra's total division.
+    pub fn term(self, pool: &mut TermPool, a: TermId, b: TermId) -> TermId {
+        match self {
+            Builtin::Min => {
+                let cond = pool.le(a, b);
+                pool.ite(cond, a, b)
+            }
+            Builtin::Max => {
+                let cond = pool.ge(a, b);
+                pool.ite(cond, a, b)
+            }
+            Builtin::Abs => {
+                let zero = pool.int(0);
+                let cond = pool.ge(a, zero);
+                let negated = pool.neg(a);
+                pool.ite(cond, a, negated)
+            }
+            Builtin::Roundup => {
+                let one = pool.int(1);
+                let ab = pool.add(a, b);
+                let ab1 = pool.sub(ab, one);
+                let q = pool.div(ab1, b);
+                pool.mul(q, b)
+            }
         }
     }
 }

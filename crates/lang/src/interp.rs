@@ -8,12 +8,17 @@
 //! * it is the **sanitizer**: divide-by-zero, remainder-by-zero and
 //!   out-of-bounds accesses abort execution with a [`CrashKind`], mirroring
 //!   the sanitizer-instrumented subjects of the ExtractFix benchmark.
+//!
+//! It is a thin wrapper over the [engine](crate::engine) with a shadow that
+//! builds no terms, so the concolic executor, which runs the same engine,
+//! cannot disagree with it.
 
 use std::collections::HashMap;
 
 use cpr_smt::{Model, Sort, TermId, TermPool, Value};
 
-use crate::ast::{BinOp, Builtin, Expr, FunDecl, HoleKind, Program, Span, Stmt, Type, UnOp};
+use crate::ast::{BinOp, Builtin, Expr, HoleKind, Program, UnOp};
+use crate::engine::{self, patch_value, Env, RunResult, Shadow};
 
 /// A concrete patch to splice into the program's hole: an expression over
 /// the hole's argument variables (by name, as pool variables) plus an
@@ -28,113 +33,23 @@ pub struct ConcretePatch<'a> {
     pub binding: Model,
 }
 
-impl<'a> ConcretePatch<'a> {
-    /// Evaluates the patch under the current program environment.
-    fn eval(&self, lookup: impl Fn(&str) -> Option<i64>) -> Value {
-        let mut model = self.binding.clone();
-        for v in self.pool.vars_of(self.expr) {
-            if model.get(v).is_none() {
-                if let Some(val) = lookup(self.pool.var_name(v)) {
-                    model.set(v, val);
-                }
-            }
-        }
-        model.eval(self.pool, self.expr)
+/// A concrete run's shadow: it builds no terms (`Term = ()`) and only fills
+/// the hole with the patch, if there is one.
+impl Shadow for Option<&ConcretePatch<'_>> {
+    type Term = ();
+    const GHOST: bool = false;
+
+    fn constant(&mut self, _: Value) {}
+    fn unary(&mut self, _: UnOp, _: ()) {}
+    fn binary(&mut self, _: BinOp, _: (), _: ()) {}
+    fn builtin(&mut self, _: Builtin, _: (), _: ()) {}
+    fn branch(&mut self, _: &Expr, _: (), _: bool) {}
+    fn pin(&mut self, _: (), _: i64) {}
+    fn hole(&mut self, _: HoleKind, env: &Env<()>) -> Option<(Value, ())> {
+        self.map(|p| (patch_value(p.pool, p.expr, &p.binding, env), ()))
     }
-}
-
-/// Reasons a run crashed (sanitizer-style).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CrashKind {
-    /// Division by zero.
-    DivByZero,
-    /// Remainder by zero.
-    RemByZero,
-    /// Array index out of bounds.
-    IndexOutOfBounds,
-    /// `roundup(_, 0)` (divides internally).
-    RoundupByZero,
-}
-
-impl std::fmt::Display for CrashKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            CrashKind::DivByZero => "division by zero",
-            CrashKind::RemByZero => "remainder by zero",
-            CrashKind::IndexOutOfBounds => "index out of bounds",
-            CrashKind::RoundupByZero => "roundup by zero",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// Final outcome of a concrete run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Outcome {
-    /// Normal termination with a return value.
-    Returned(i64),
-    /// A sanitizer crash.
-    Crash {
-        /// What crashed.
-        kind: CrashKind,
-        /// Where it crashed.
-        span: Span,
-    },
-    /// An `assert` failed.
-    AssertFailed {
-        /// Location of the assertion.
-        span: Span,
-    },
-    /// The `bug` location's specification `σ` was violated.
-    SpecViolated {
-        /// Name of the bug marker.
-        bug: String,
-        /// Location of the bug marker.
-        span: Span,
-    },
-    /// An `assume` failed: the path is vacuous (not an error).
-    AssumeFailed,
-    /// The step budget was exhausted (e.g. a diverging loop).
-    StepLimit,
-    /// The patch hole was reached but no patch was supplied.
-    MissingPatch,
-}
-
-impl Outcome {
-    /// Whether the outcome counts as an observable failure (crash, failed
-    /// assertion, or specification violation).
-    pub fn is_failure(&self) -> bool {
-        matches!(
-            self,
-            Outcome::Crash { .. } | Outcome::AssertFailed { .. } | Outcome::SpecViolated { .. }
-        )
-    }
-
-    /// Whether the run terminated normally.
-    pub fn is_success(&self) -> bool {
-        matches!(self, Outcome::Returned(_))
-    }
-}
-
-/// Result of a run: the outcome plus coverage counters used by the repair
-/// loop's ranking.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunResult {
-    /// Final outcome.
-    pub outcome: Outcome,
-    /// How often the patch hole was evaluated.
-    pub patch_hits: u32,
-    /// How often the bug location was reached.
-    pub bug_hits: u32,
-    /// Statements executed.
-    pub steps: u64,
-}
-
-#[derive(Debug, Clone)]
-enum Slot {
-    Int(i64),
-    Bool(bool),
-    Array(Vec<i64>),
+    fn assert(&mut self, _: ()) {}
+    fn bug(&mut self, _: ()) {}
 }
 
 /// The concrete interpreter. Construct once and reuse across runs.
@@ -147,22 +62,6 @@ impl Default for Interp {
     fn default() -> Self {
         Interp { max_steps: 100_000 }
     }
-}
-
-enum Flow {
-    Normal,
-    Return(i64),
-    Stop(Outcome),
-}
-
-struct RunState<'a> {
-    env: HashMap<String, Slot>,
-    functions: &'a [FunDecl],
-    patch: Option<&'a ConcretePatch<'a>>,
-    patch_hits: u32,
-    bug_hits: u32,
-    steps: u64,
-    max_steps: u64,
 }
 
 impl Interp {
@@ -183,33 +82,13 @@ impl Interp {
         &self,
         program: &Program,
         inputs: &HashMap<String, i64>,
-        patch: Option<&ConcretePatch<'_>>,
+        mut patch: Option<&ConcretePatch<'_>>,
     ) -> RunResult {
-        let mut st = RunState {
-            env: HashMap::new(),
-            functions: &program.functions,
-            patch,
-            patch_hits: 0,
-            bug_hits: 0,
-            steps: 0,
-            max_steps: self.max_steps,
-        };
-        for decl in &program.inputs {
-            let v = inputs.get(&decl.name).copied().unwrap_or(decl.lo);
-            st.env.insert(decl.name.clone(), Slot::Int(v));
-        }
-        let outcome = match exec_stmts(&program.body, &mut st) {
-            Ok(Flow::Return(v)) => Outcome::Returned(v),
-            Ok(Flow::Normal) => Outcome::Returned(0),
-            Ok(Flow::Stop(o)) => o,
-            Err(o) => o,
-        };
-        RunResult {
-            outcome,
-            patch_hits: st.patch_hits,
-            bug_hits: st.bug_hits,
-            steps: st.steps,
-        }
+        let inputs = program
+            .inputs
+            .iter()
+            .map(|decl| (inputs.get(&decl.name).copied().unwrap_or(decl.lo), ()));
+        engine::run(program, inputs, self.max_steps, &mut patch)
     }
 
     /// Convenience: runs the program and builds the input map from a model
@@ -235,292 +114,11 @@ impl Interp {
     }
 }
 
-fn exec_stmts(stmts: &[Stmt], st: &mut RunState<'_>) -> Result<Flow, Outcome> {
-    for s in stmts {
-        match exec_stmt(s, st)? {
-            Flow::Normal => {}
-            other => return Ok(other),
-        }
-    }
-    Ok(Flow::Normal)
-}
-
-/// Executes a block body with block-scoped declarations: names introduced
-/// inside are removed afterwards.
-fn exec_block(stmts: &[Stmt], st: &mut RunState<'_>) -> Result<Flow, Outcome> {
-    let before: Vec<String> = st.env.keys().cloned().collect();
-    let flow = exec_stmts(stmts, st);
-    st.env.retain(|k, _| before.iter().any(|b| b == k));
-    flow
-}
-
-fn exec_stmt(stmt: &Stmt, st: &mut RunState<'_>) -> Result<Flow, Outcome> {
-    st.steps += 1;
-    if st.steps > st.max_steps {
-        return Err(Outcome::StepLimit);
-    }
-    match stmt {
-        Stmt::Decl { name, ty, init, .. } => {
-            let slot = match (ty, init) {
-                (Type::IntArray(n), _) => Slot::Array(vec![0; *n]),
-                (Type::Int, Some(e)) => Slot::Int(eval_int(e, st)?),
-                (Type::Int, None) => Slot::Int(0),
-                (Type::Bool, Some(e)) => Slot::Bool(eval_bool(e, st)?),
-                (Type::Bool, None) => Slot::Bool(false),
-            };
-            st.env.insert(name.clone(), slot);
-            Ok(Flow::Normal)
-        }
-        Stmt::Assign { name, value, .. } => {
-            let slot = match st.env.get(name) {
-                Some(Slot::Bool(_)) => Slot::Bool(eval_bool(value, st)?),
-                _ => Slot::Int(eval_int(value, st)?),
-            };
-            st.env.insert(name.clone(), slot);
-            Ok(Flow::Normal)
-        }
-        Stmt::AssignIndex {
-            name,
-            index,
-            value,
-            span,
-        } => {
-            let i = eval_int(index, st)?;
-            let v = eval_int(value, st)?;
-            match st.env.get_mut(name) {
-                Some(Slot::Array(arr)) => {
-                    if i < 0 || i as usize >= arr.len() {
-                        return Err(Outcome::Crash {
-                            kind: CrashKind::IndexOutOfBounds,
-                            span: *span,
-                        });
-                    }
-                    arr[i as usize] = v;
-                    Ok(Flow::Normal)
-                }
-                _ => unreachable!("type checker guarantees array target"),
-            }
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-            ..
-        } => {
-            if eval_bool(cond, st)? {
-                exec_block(then_body, st)
-            } else {
-                exec_block(else_body, st)
-            }
-        }
-        Stmt::While { cond, body, .. } => {
-            loop {
-                st.steps += 1;
-                if st.steps > st.max_steps {
-                    return Err(Outcome::StepLimit);
-                }
-                if !eval_bool(cond, st)? {
-                    break;
-                }
-                match exec_block(body, st)? {
-                    Flow::Normal => {}
-                    other => return Ok(other),
-                }
-            }
-            Ok(Flow::Normal)
-        }
-        Stmt::Return { value, .. } => Ok(Flow::Return(eval_int(value, st)?)),
-        Stmt::Assert { cond, span } => {
-            if eval_bool(cond, st)? {
-                Ok(Flow::Normal)
-            } else {
-                Ok(Flow::Stop(Outcome::AssertFailed { span: *span }))
-            }
-        }
-        Stmt::Assume { cond, .. } => {
-            if eval_bool(cond, st)? {
-                Ok(Flow::Normal)
-            } else {
-                Ok(Flow::Stop(Outcome::AssumeFailed))
-            }
-        }
-        Stmt::Bug { name, spec, span } => {
-            st.bug_hits += 1;
-            if eval_bool(spec, st)? {
-                Ok(Flow::Normal)
-            } else {
-                Ok(Flow::Stop(Outcome::SpecViolated {
-                    bug: name.clone(),
-                    span: *span,
-                }))
-            }
-        }
-    }
-}
-
-fn eval_int(e: &Expr, st: &mut RunState<'_>) -> Result<i64, Outcome> {
-    match eval(e, st)? {
-        Value::Int(v) => Ok(v),
-        Value::Bool(_) => unreachable!("type checker guarantees int expression"),
-    }
-}
-
-fn eval_bool(e: &Expr, st: &mut RunState<'_>) -> Result<bool, Outcome> {
-    match eval(e, st)? {
-        Value::Bool(b) => Ok(b),
-        Value::Int(_) => unreachable!("type checker guarantees bool expression"),
-    }
-}
-
-fn eval(e: &Expr, st: &mut RunState<'_>) -> Result<Value, Outcome> {
-    match e {
-        Expr::Int(v, _) => Ok(Value::Int(*v)),
-        Expr::Bool(b, _) => Ok(Value::Bool(*b)),
-        Expr::Var(name, _) => match st.env.get(name) {
-            Some(Slot::Int(v)) => Ok(Value::Int(*v)),
-            Some(Slot::Bool(b)) => Ok(Value::Bool(*b)),
-            _ => unreachable!("type checker guarantees declared scalar"),
-        },
-        Expr::Index(name, idx, span) => {
-            let i = eval_int(idx, st)?;
-            match st.env.get(name) {
-                Some(Slot::Array(arr)) => {
-                    if i < 0 || i as usize >= arr.len() {
-                        Err(Outcome::Crash {
-                            kind: CrashKind::IndexOutOfBounds,
-                            span: *span,
-                        })
-                    } else {
-                        Ok(Value::Int(arr[i as usize]))
-                    }
-                }
-                _ => unreachable!("type checker guarantees array"),
-            }
-        }
-        Expr::Unary(UnOp::Neg, inner, _) => Ok(Value::Int(eval_int(inner, st)?.saturating_neg())),
-        Expr::Unary(UnOp::Not, inner, _) => Ok(Value::Bool(!eval_bool(inner, st)?)),
-        Expr::Binary(op, a, b, span) => {
-            match op {
-                BinOp::And => {
-                    // Short-circuit.
-                    return Ok(Value::Bool(eval_bool(a, st)? && eval_bool(b, st)?));
-                }
-                BinOp::Or => {
-                    return Ok(Value::Bool(eval_bool(a, st)? || eval_bool(b, st)?));
-                }
-                _ => {}
-            }
-            let x = eval_int(a, st)?;
-            let y = eval_int(b, st)?;
-            let v = match op {
-                BinOp::Add => Value::Int(x.saturating_add(y)),
-                BinOp::Sub => Value::Int(x.saturating_sub(y)),
-                BinOp::Mul => Value::Int(x.saturating_mul(y)),
-                BinOp::Div => {
-                    if y == 0 {
-                        return Err(Outcome::Crash {
-                            kind: CrashKind::DivByZero,
-                            span: *span,
-                        });
-                    }
-                    Value::Int(x.wrapping_div(y))
-                }
-                BinOp::Rem => {
-                    if y == 0 {
-                        return Err(Outcome::Crash {
-                            kind: CrashKind::RemByZero,
-                            span: *span,
-                        });
-                    }
-                    Value::Int(x.wrapping_rem(y))
-                }
-                BinOp::Eq => Value::Bool(x == y),
-                BinOp::Ne => Value::Bool(x != y),
-                BinOp::Lt => Value::Bool(x < y),
-                BinOp::Le => Value::Bool(x <= y),
-                BinOp::Gt => Value::Bool(x > y),
-                BinOp::Ge => Value::Bool(x >= y),
-                BinOp::And | BinOp::Or => unreachable!("handled above"),
-            };
-            Ok(v)
-        }
-        Expr::Call(builtin, args, span) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_int(a, st)?);
-            }
-            let v = match builtin {
-                Builtin::Min => vals[0].min(vals[1]),
-                Builtin::Max => vals[0].max(vals[1]),
-                Builtin::Abs => vals[0].saturating_abs(),
-                Builtin::Roundup => {
-                    let (a, b) = (vals[0], vals[1]);
-                    if b == 0 {
-                        return Err(Outcome::Crash {
-                            kind: CrashKind::RoundupByZero,
-                            span: *span,
-                        });
-                    }
-                    // Smallest multiple of b that is >= a (for positive b).
-                    ((a + b - 1) / b) * b
-                }
-            };
-            Ok(Value::Int(v))
-        }
-        Expr::UserCall(name, args, _) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_int(a, st)?);
-            }
-            let f = st
-                .functions
-                .iter()
-                .find(|f| f.name == *name)
-                .expect("type checker guarantees declared function");
-            // Pure call: fresh scope holding only the parameters; the
-            // caller's environment is restored afterwards.
-            let mut callee_env: HashMap<String, Slot> = HashMap::new();
-            for (p, v) in f.params.iter().zip(vals) {
-                callee_env.insert(p.clone(), Slot::Int(v));
-            }
-            let saved = std::mem::replace(&mut st.env, callee_env);
-            let flow = exec_stmts(&f.body, st);
-            st.env = saved;
-            match flow? {
-                Flow::Return(v) => Ok(Value::Int(v)),
-                Flow::Normal => Ok(Value::Int(0)),
-                Flow::Stop(o) => Err(o),
-            }
-        }
-        Expr::Hole(kind, _, _) => {
-            st.patch_hits += 1;
-            let Some(patch) = st.patch else {
-                return Err(Outcome::MissingPatch);
-            };
-            // Borrow-friendly environment snapshot for the lookup closure.
-            let env: HashMap<String, i64> = st
-                .env
-                .iter()
-                .filter_map(|(k, v)| match v {
-                    Slot::Int(i) => Some((k.clone(), *i)),
-                    Slot::Bool(b) => Some((k.clone(), i64::from(*b))),
-                    Slot::Array(_) => None,
-                })
-                .collect();
-            let value = patch.eval(|name| env.get(name).copied());
-            match (kind, value) {
-                (HoleKind::Cond, Value::Bool(b)) => Ok(Value::Bool(b)),
-                (HoleKind::Cond, Value::Int(v)) => Ok(Value::Bool(v != 0)),
-                (HoleKind::IntExpr, Value::Int(v)) => Ok(Value::Int(v)),
-                (HoleKind::IntExpr, Value::Bool(b)) => Ok(Value::Int(i64::from(b))),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Span;
+    use crate::engine::{CrashKind, Outcome};
     use crate::parser::parse;
     use crate::types::check;
     use cpr_smt::Sort;
@@ -630,6 +228,33 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn roundup_saturates_instead_of_overflowing() {
+        // a + b - 1 leaves the i64 range; the value saturates exactly as
+        // the term algebra's operators do.
+        let r = run(
+            "program p { return roundup(4611686018427387904 * 4, 2); }",
+            &[],
+        );
+        assert_eq!(r.outcome, Outcome::Returned(i64::MAX - 1));
+    }
+
+    #[test]
+    fn logical_operators_short_circuit() {
+        let src = "program p {
+            input x in [-5, 5];
+            if (x != 0 && 10 / x > 1) { return 1; }
+            if (x == 0 || 10 % x > 1) { return 2; }
+            return 0;
+          }";
+        // A right operand the left one decides never runs, so it cannot
+        // crash.
+        assert_eq!(run(src, &[("x", 0)]).outcome, Outcome::Returned(2));
+        assert_eq!(run(src, &[("x", 3)]).outcome, Outcome::Returned(1));
+        assert_eq!(run(src, &[("x", -4)]).outcome, Outcome::Returned(2));
+        assert_eq!(run(src, &[("x", -5)]).outcome, Outcome::Returned(0));
     }
 
     #[test]

@@ -11,9 +11,14 @@
 //!   with spanned diagnostics,
 //! * a [type checker](check),
 //! * a [pretty printer](pretty) whose output re-parses,
-//! * a sanitizer-style [interpreter](Interp) that detects crashes
-//!   (divide-by-zero, out-of-bounds) and specification violations, and can
-//!   splice a [`ConcretePatch`] into the hole.
+//! * the one [execution engine](engine), generic over a
+//!   [`Shadow`](engine::Shadow) that rides along the run: it owns the
+//!   concrete semantics, and the concolic executor (`cpr-concolic`) runs it
+//!   with a term-building shadow,
+//! * a sanitizer-style [interpreter](Interp) on that engine, whose shadow
+//!   builds nothing: it detects crashes (divide-by-zero, out-of-bounds) and
+//!   specification violations, and can splice a [`ConcretePatch`] into the
+//!   hole.
 //!
 //! # Example
 //!
@@ -43,6 +48,7 @@
 #![warn(missing_docs)]
 
 pub mod ast;
+pub mod engine;
 mod error;
 mod interp;
 mod lexer;
@@ -51,8 +57,9 @@ mod pretty;
 mod types;
 
 pub use ast::{BinOp, Builtin, Expr, HoleKind, InputDecl, Program, Span, Stmt, Type, UnOp};
+pub use engine::{CrashKind, Outcome, RunResult};
 pub use error::{LangError, LangResult};
-pub use interp::{ConcretePatch, CrashKind, Interp, Outcome, RunResult};
+pub use interp::{ConcretePatch, Interp};
 pub use lexer::{lex, Tok, Token};
 pub use parser::{parse, parse_expr};
 pub use pretty::{pretty, pretty_expr};

@@ -32,6 +32,9 @@ cargo check --offline --manifest-path bench_e2e/Cargo.toml
 echo "==> tier-1: tests"
 cargo test -q
 
+echo "==> execution engine crates' tests, debug (overflow checks on, unlike the release run below)"
+cargo test -q -p cpr-lang -p cpr-concolic
+
 echo "==> static lint of shipped subjects (cpr-lint, zero diagnostics expected)"
 cargo run --release -q -p cpr-analysis --bin cpr-lint programs/*.cpr
 

@@ -150,3 +150,89 @@ fn captured_sigma_matches_concrete_verdict() {
         }
     }
 }
+
+/// Runs `src` at `x` through both entry points and checks that they agree
+/// and that every recorded path step and σ hold under the input.
+fn run_both_modes(src: &str, x: i64) -> Outcome {
+    let program = cpr_lang::parse(src).unwrap();
+    cpr_lang::check(&program).unwrap();
+    let inputs: HashMap<String, i64> = [("x".to_string(), x)].into();
+    let concrete = Interp::new().run(&program, &inputs, None);
+
+    let mut pool = cpr_smt::TermPool::new();
+    let var = pool.var("x", cpr_smt::Sort::Int);
+    let mut model = Model::new();
+    model.set(var, x);
+    let run = ConcolicExecutor::new().execute(&mut pool, &program, &model, None);
+    assert_eq!(run.outcome, concrete.outcome, "outcome mismatch at x = {x}");
+    assert_eq!(run.steps, concrete.steps, "step mismatch at x = {x}");
+    for step in &run.path {
+        assert!(
+            run.inputs.eval_bool(&pool, step.constraint),
+            "unsatisfied path step {} at x = {x}",
+            pool.display(step.constraint)
+        );
+    }
+    if let Some(sigma) = run.sigma {
+        let violated = matches!(run.outcome, Outcome::SpecViolated { .. });
+        assert_eq!(
+            run.inputs.eval_bool(&pool, sigma),
+            !violated,
+            "σ at x = {x}"
+        );
+    }
+    run.outcome
+}
+
+/// `&&` and `||` short-circuit in both modes: a right operand the left one
+/// decides does not run, so its division by zero cannot crash either run.
+/// The path constraint still carries the whole condition.
+#[test]
+fn short_circuit_guards_a_crashing_operand_in_both_modes() {
+    let and = "program p {
+        input x in [-10, 10];
+        if (x != 0 && 10 / x > 1) { return 1; }
+        return 0;
+      }";
+    assert_eq!(run_both_modes(and, 0), Outcome::Returned(0));
+    assert_eq!(run_both_modes(and, 3), Outcome::Returned(1));
+    assert_eq!(run_both_modes(and, -3), Outcome::Returned(0));
+
+    let or = "program p {
+        input x in [-10, 10];
+        bug guarded requires (x == 0 || 10 % x < 3);
+        return 0;
+      }";
+    assert_eq!(run_both_modes(or, 0), Outcome::Returned(0));
+    assert!(matches!(
+        run_both_modes(or, 7),
+        Outcome::SpecViolated { .. }
+    ));
+
+    // The decided operand's term is still part of the branch constraint.
+    let program = cpr_lang::parse(and).unwrap();
+    let mut pool = cpr_smt::TermPool::new();
+    let var = pool.var("x", cpr_smt::Sort::Int);
+    let mut model = Model::new();
+    model.set(var, 0);
+    let run = ConcolicExecutor::new().execute(&mut pool, &program, &model, None);
+    let shown: Vec<String> = run
+        .path
+        .iter()
+        .map(|s| pool.display(s.constraint))
+        .collect();
+    assert_eq!(shown, ["(not (and (distinct x 0) (> (div 10 x) 1)))"]);
+}
+
+/// `roundup` computes its value with the term algebra's saturating
+/// operators, so the recorded step agrees with the concrete branch even
+/// where `a + b - 1` leaves the `i64` range.
+#[test]
+fn roundup_saturates_like_its_term() {
+    let src = "program p {
+        input x in [-10, 10];
+        if (roundup(4611686018427387904 * 4, 2) > x) { return 1; }
+        return 0;
+      }";
+    assert_eq!(run_both_modes(src, 5), Outcome::Returned(1));
+}

@@ -1,9 +1,11 @@
 //! Property-based differential testing over *randomly generated programs*:
 //!
-//! * the concrete interpreter and the concolic executor agree on the
-//!   outcome of every run,
+//! * the concrete interpreter and the concolic executor's term shadow agree
+//!   on the outcome and step count of every run (they share one engine, so
+//!   this checks that the shadow never changes what runs),
 //! * every recorded path constraint is satisfied by the input that
-//!   produced it,
+//!   produced it, including the terms of `&&`/`||` operands that were
+//!   short-circuited away (and would have crashed),
 //! * pretty-printing a generated program round-trips through the parser.
 //!
 //! Programs are generated from a recipe (indices resolved modulo the set of
@@ -17,7 +19,7 @@ use std::collections::HashMap;
 use cpr_concolic::ConcolicExecutor;
 use cpr_fuzz::rng::XorShiftRng;
 use cpr_lang::{ast::Span, check, parse, pretty, BinOp, Expr, Interp, Program, Stmt, Type};
-use cpr_smt::{Model, Sort, TermPool};
+use cpr_smt::{ArithOp, Model, Sort, TermData, TermId, TermPool};
 
 #[derive(Debug, Clone)]
 enum ExprRecipe {
@@ -29,6 +31,11 @@ enum ExprRecipe {
 #[derive(Debug, Clone)]
 enum CondRecipe {
     Cmp(u8, ExprRecipe, ExprRecipe),
+    /// `l && r` (`true`) or `l || r`.
+    Logic(bool, Box<CondRecipe>, Box<CondRecipe>),
+    /// A guarded division by a variable: `v != 0 && e / v < k` (`true`) or
+    /// `v == 0 || e % v < k`.
+    Guard(bool, u8, ExprRecipe, i64),
 }
 
 #[derive(Debug, Clone)]
@@ -56,8 +63,21 @@ fn gen_expr(rng: &mut XorShiftRng, depth: u32) -> ExprRecipe {
     }
 }
 
-fn gen_cond(rng: &mut XorShiftRng) -> CondRecipe {
-    CondRecipe::Cmp(rng.gen_index(6) as u8, gen_expr(rng, 3), gen_expr(rng, 3))
+fn gen_cond(rng: &mut XorShiftRng, depth: u32) -> CondRecipe {
+    match rng.gen_index(4) {
+        2 if depth > 0 => CondRecipe::Logic(
+            rng.gen_bool(),
+            Box::new(gen_cond(rng, depth - 1)),
+            Box::new(gen_cond(rng, depth - 1)),
+        ),
+        3 => CondRecipe::Guard(
+            rng.gen_bool(),
+            rng.gen_index(8) as u8,
+            gen_expr(rng, 2),
+            rng.gen_range_i64(-3, 3),
+        ),
+        _ => CondRecipe::Cmp(rng.gen_index(6) as u8, gen_expr(rng, 3), gen_expr(rng, 3)),
+    }
 }
 
 fn gen_stmts(rng: &mut XorShiftRng, depth: u32, lo: usize, hi: usize) -> Vec<StmtRecipe> {
@@ -79,7 +99,7 @@ fn gen_stmt(rng: &mut XorShiftRng, depth: u32) -> StmtRecipe {
         0..=2 => StmtRecipe::Decl(gen_expr(rng, 3)),
         3..=5 => StmtRecipe::Assign(rng.gen_index(8) as u8, gen_expr(rng, 3)),
         6 | 7 => StmtRecipe::If(
-            gen_cond(rng),
+            gen_cond(rng, 1),
             gen_stmts(rng, depth - 1, 0, 2),
             gen_stmts(rng, depth - 1, 0, 2),
         ),
@@ -149,21 +169,37 @@ impl Builder {
     }
 
     fn cond(&self, r: &CondRecipe) -> Expr {
-        let CondRecipe::Cmp(op, a, b) = r;
-        let op = [
-            BinOp::Eq,
-            BinOp::Ne,
-            BinOp::Lt,
-            BinOp::Le,
-            BinOp::Gt,
-            BinOp::Ge,
-        ][*op as usize % 6];
-        Expr::Binary(
-            op,
-            Box::new(self.expr(a)),
-            Box::new(self.expr(b)),
-            Span::default(),
-        )
+        let bin =
+            |op, a: Expr, b: Expr| Expr::Binary(op, Box::new(a), Box::new(b), Span::default());
+        match r {
+            CondRecipe::Cmp(op, a, b) => {
+                let op = [
+                    BinOp::Eq,
+                    BinOp::Ne,
+                    BinOp::Lt,
+                    BinOp::Le,
+                    BinOp::Gt,
+                    BinOp::Ge,
+                ][*op as usize % 6];
+                bin(op, self.expr(a), self.expr(b))
+            }
+            CondRecipe::Logic(and, l, r) => {
+                let op = if *and { BinOp::And } else { BinOp::Or };
+                bin(op, self.cond(l), self.cond(r))
+            }
+            CondRecipe::Guard(and, v, e, k) => {
+                let v = || self.expr(&ExprRecipe::Var(*v));
+                let zero = || Expr::Int(0, Span::default());
+                let k = Expr::Int(*k, Span::default());
+                let (test, divide, join) = if *and {
+                    (BinOp::Ne, BinOp::Div, BinOp::And)
+                } else {
+                    (BinOp::Eq, BinOp::Rem, BinOp::Or)
+                };
+                let quotient = bin(divide, self.expr(e), v());
+                bin(join, bin(test, v(), zero()), bin(BinOp::Lt, quotient, k))
+            }
+        }
     }
 
     fn stmt(&mut self, r: &StmtRecipe) -> Stmt {
@@ -255,9 +291,28 @@ impl Builder {
     }
 }
 
+/// Whether `t` divides by a subterm that is 0 under `model`. A concrete
+/// division by zero crashes before anything is recorded, so such a term in
+/// a path step comes from a short-circuited operand's term.
+fn divides_by_zero(pool: &TermPool, model: &Model, t: TermId) -> bool {
+    let sub = |x| divides_by_zero(pool, model, x);
+    match pool.data(t) {
+        TermData::Arith(op, a, b) => {
+            (matches!(op, ArithOp::Div | ArithOp::Rem) && model.eval_int(pool, b) == 0)
+                || sub(a)
+                || sub(b)
+        }
+        TermData::And(a, b) | TermData::Or(a, b) | TermData::Cmp(_, a, b) => sub(a) || sub(b),
+        TermData::Not(a) | TermData::Neg(a) => sub(a),
+        TermData::Ite(c, a, b) => sub(c) || sub(a) || sub(b),
+        TermData::BoolConst(_) | TermData::IntConst(_) | TermData::Var(_) => false,
+    }
+}
+
 #[test]
 fn interpreter_and_concolic_agree_on_random_programs() {
     let mut exercised = 0u32;
+    let mut short_circuited_crashes = 0u32;
     for case in 0..160u64 {
         let mut rng = XorShiftRng::seed_from_u64(0x9806 + case);
         let (program, n_inputs) = gen_program(&mut rng);
@@ -266,43 +321,62 @@ fn interpreter_and_concolic_agree_on_random_programs() {
             continue;
         }
         exercised += 1;
-        let inputs: HashMap<String, i64> = (0..n_inputs as usize)
-            .map(|i| (format!("in{i}"), seed[i.min(seed.len() - 1)]))
-            .collect();
+        // The drawn input, and all-zero inputs, at which guarded divisors
+        // are often zero.
+        let drawn = (0..n_inputs as usize).map(|i| seed[i.min(seed.len() - 1)]);
+        for values in [drawn.collect::<Vec<_>>(), vec![0; n_inputs as usize]] {
+            let inputs: HashMap<String, i64> = values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (format!("in{i}"), *v))
+                .collect();
 
-        // Concrete interpreter.
-        let concrete = Interp::with_max_steps(20_000).run(&program, &inputs, None);
+            // Concrete interpreter.
+            let concrete = Interp::with_max_steps(20_000).run(&program, &inputs, None);
 
-        // Concolic executor.
-        let mut pool = TermPool::new();
-        let mut model = Model::new();
-        for (name, v) in &inputs {
-            let var = pool.var(name, Sort::Int);
-            model.set(var, *v);
-        }
-        let run =
-            ConcolicExecutor::with_budgets(20_000, 512).execute(&mut pool, &program, &model, None);
+            // Concolic executor.
+            let mut pool = TermPool::new();
+            let mut model = Model::new();
+            for (name, v) in &inputs {
+                let var = pool.var(name, Sort::Int);
+                model.set(var, *v);
+            }
+            let run = ConcolicExecutor::with_budgets(20_000, 512)
+                .execute(&mut pool, &program, &model, None);
 
-        assert_eq!(
-            &run.outcome,
-            &concrete.outcome,
-            "case {case}: outcome mismatch\n{}",
-            pretty(&program)
-        );
-        assert_eq!(run.hit_bug, concrete.bug_hits > 0, "case {case}");
-
-        // Every recorded path step holds under the producing input.
-        for step in &run.path {
-            assert!(
-                run.inputs.eval_bool(&pool, step.constraint),
-                "case {case}: unsatisfied path step {}",
-                pool.display(step.constraint)
+            assert_eq!(
+                &run.outcome,
+                &concrete.outcome,
+                "case {case} at {inputs:?}: outcome mismatch\n{}",
+                pretty(&program)
             );
+            assert_eq!(run.hit_bug, concrete.bug_hits > 0, "case {case}");
+            assert_eq!(run.steps, concrete.steps, "case {case}: step mismatch");
+
+            // Every recorded path step holds under the producing input.
+            for step in &run.path {
+                assert!(
+                    run.inputs.eval_bool(&pool, step.constraint),
+                    "case {case} at {inputs:?}: unsatisfied path step {}",
+                    pool.display(step.constraint)
+                );
+            }
+            if run
+                .path
+                .iter()
+                .any(|s| divides_by_zero(&pool, &run.inputs, s.constraint))
+            {
+                short_circuited_crashes += 1;
+            }
         }
     }
     assert!(
         exercised >= 100,
         "only {exercised}/160 generated programs checked"
+    );
+    assert!(
+        short_circuited_crashes >= 15,
+        "only {short_circuited_crashes} runs short-circuited an operand that would crash"
     );
 }
 
