@@ -7,8 +7,9 @@
 //! * **Campaign determinism** — two runs of the same seeded campaign
 //!   produce identical findings, exec counts and solver tallies; the
 //!   throughput figure (inputs/sec) and time-to-first-new-signature are
-//!   only meaningful because of it. Throughput is measured over repeats
-//!   of that campaign until at least 2,000 execs or 1 s of run time.
+//!   only meaningful because of it. Throughput is reported as the median
+//!   and quartiles over independent samples, each repeating that campaign
+//!   until at least 2,000 execs or 1 s of run time.
 //! * **Injection identity** — the same input injected (a) before the
 //!   first driver step, (b) between steps mid-run, and (c) mid-run with a
 //!   snapshot/resume cycle right after, yields a bit-identical final
@@ -28,6 +29,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use cpr_bench::quantile;
 use cpr_core::{test_input, RepairConfig, RepairDriver, RepairProblem, RepairReport, StepStatus};
 use cpr_fuzz::{ConcolicFuzzConfig, ConcolicFuzzer};
 use cpr_lang::{check, parse, Program};
@@ -88,6 +90,10 @@ fn fingerprint(r: &RepairReport) -> String {
 const THROUGHPUT_MIN_EXECS: u64 = 2_000;
 /// Time floor of the throughput sample, in milliseconds.
 const THROUGHPUT_MIN_MILLIS: f64 = 1_000.0;
+/// Independent throughput samples, each at the floor above. One sample
+/// takes about 15 ms on a 2-CPU host, and single samples of unchanged
+/// code spread by more than 20%, so `inputs_per_sec` is their median.
+const THROUGHPUT_SAMPLES: usize = 21;
 
 fn program() -> Program {
     let program = parse(SRC).unwrap();
@@ -299,18 +305,28 @@ fn main() {
         return;
     }
 
-    // Throughput from a real sample: one campaign runs out of frontier in
-    // well under a millisecond, so repeat it (each repeat replays the
-    // identical seeded campaign, asserted) until the exec or time floor.
-    let (mut reps, mut total_execs, mut total_millis) = (1u64, campaign.execs, campaign.millis);
-    while total_execs < THROUGHPUT_MIN_EXECS && total_millis < THROUGHPUT_MIN_MILLIS {
-        let rep = run_campaign(max_execs);
-        assert_eq!(rep.key, campaign.key, "fuzz campaign diverged across runs");
-        reps += 1;
-        total_execs += rep.execs;
-        total_millis += rep.millis;
+    // Throughput from real samples: one campaign runs out of frontier in
+    // well under a millisecond, so each sample repeats it (each repeat
+    // replays the identical seeded campaign, asserted) until the exec or
+    // time floor.
+    let (mut reps, mut total_execs, mut total_millis) = (0u64, 0u64, 0.0f64);
+    let mut rates = Vec::with_capacity(THROUGHPUT_SAMPLES);
+    for _ in 0..THROUGHPUT_SAMPLES {
+        let (mut execs, mut millis) = (0u64, 0.0f64);
+        while execs < THROUGHPUT_MIN_EXECS && millis < THROUGHPUT_MIN_MILLIS {
+            let rep = run_campaign(max_execs);
+            assert_eq!(rep.key, campaign.key, "fuzz campaign diverged across runs");
+            reps += 1;
+            execs += rep.execs;
+            millis += rep.millis;
+        }
+        rates.push(execs as f64 / (millis / 1e3).max(1e-9));
+        total_execs += execs;
+        total_millis += millis;
     }
-    let inputs_per_sec = total_execs as f64 / (total_millis / 1e3).max(1e-9);
+    rates.sort_by(f64::total_cmp);
+    let inputs_per_sec = quantile(&rates, 0.5);
+    let (q1, q3) = (quantile(&rates, 0.25), quantile(&rates, 0.75));
     let first_sig_ms = campaign.first_signature_ms.unwrap_or(-1.0);
 
     let mut json = String::from("{\n");
@@ -321,10 +337,13 @@ fn main() {
     let _ = writeln!(json, "  \"signatures\": {},", campaign.signatures);
     let _ = writeln!(json, "  \"solver_queries\": {},", campaign.solver_queries);
     let _ = writeln!(json, "  \"campaign_millis\": {:.1},", campaign.millis);
+    let _ = writeln!(json, "  \"throughput_samples\": {THROUGHPUT_SAMPLES},");
     let _ = writeln!(json, "  \"throughput_reps\": {reps},");
     let _ = writeln!(json, "  \"throughput_execs\": {total_execs},");
     let _ = writeln!(json, "  \"throughput_millis\": {total_millis:.1},");
     let _ = writeln!(json, "  \"inputs_per_sec\": {inputs_per_sec:.1},");
+    let _ = writeln!(json, "  \"inputs_per_sec_q1\": {q1:.1},");
+    let _ = writeln!(json, "  \"inputs_per_sec_q3\": {q3:.1},");
     let _ = writeln!(json, "  \"first_new_signature_ms\": {first_sig_ms:.2},");
     let _ = writeln!(json, "  \"injection_identical_reports\": true,");
     let _ = writeln!(json, "  \"p_final_baseline\": {},", baseline.p_final);
@@ -338,8 +357,9 @@ fn main() {
     std::fs::write("BENCH_fuzz.json", &json).expect("write BENCH_fuzz.json");
     println!("{json}");
     println!(
-        "concolic fuzz: {inputs_per_sec:.0} inputs/sec ({total_execs} execs over {reps} \
-         campaigns), first new signature after {first_sig_ms:.1} ms, {pool_reduction} \
+        "concolic fuzz: {inputs_per_sec:.0} inputs/sec median (IQR {q1:.0}-{q3:.0}) over \
+         {THROUGHPUT_SAMPLES} samples ({total_execs} execs over {reps} campaigns), first new \
+         signature after {first_sig_ms:.1} ms, {pool_reduction} \
          concrete patches pruned per injected input"
     );
 }

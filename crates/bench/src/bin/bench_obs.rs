@@ -26,6 +26,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use cpr_bench::quantile;
 use cpr_concolic::{ConcolicExecutor, ConcolicResult};
 use cpr_core::{
     build_patch_pool, reduce, test_input, PoolEntry, ReduceStats, RepairConfig, RepairProblem,
@@ -236,13 +237,6 @@ impl Pair {
     fn overhead(&self) -> f64 {
         self.on_ms / self.off_ms - 1.0
     }
-}
-
-/// The `q`-quantile of sorted `xs` by linear interpolation.
-fn quantile(xs: &[f64], q: f64) -> f64 {
-    let pos = q * (xs.len() - 1) as f64;
-    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-    xs[lo] + (xs[hi] - xs[lo]) * (pos - lo as f64)
 }
 
 fn main() {

@@ -183,6 +183,13 @@ pub fn json_speedup(speedup: Option<f64>) -> String {
     speedup.map_or_else(|| "null".to_owned(), |s| format!("{s:.2}"))
 }
 
+/// The `q`-quantile of sorted, non-empty `xs` by linear interpolation.
+pub fn quantile(xs: &[f64], q: f64) -> f64 {
+    let pos = q * (xs.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    xs[lo] + (xs[hi] - xs[lo]) * (pos - lo as f64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,6 +201,15 @@ mod tests {
         assert_eq!(speedup(300.0, 100.0, 4, 2), None);
         assert_eq!(json_speedup(Some(3.0)), "3.00");
         assert_eq!(json_speedup(None), "null");
+    }
+
+    #[test]
+    fn quantile_interpolates_between_sorted_samples() {
+        let xs = [1.0, 2.0, 4.0, 8.0, 16.0];
+        assert_eq!(quantile(&xs, 0.5), 4.0);
+        assert_eq!(quantile(&xs, 0.25), 2.0);
+        assert_eq!(quantile(&xs, 0.875), 12.0);
+        assert_eq!(quantile(&[7.0], 0.75), 7.0);
     }
 
     #[test]

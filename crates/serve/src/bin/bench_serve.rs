@@ -15,17 +15,13 @@
 //!    from scratch — exactly the cost model that makes
 //!    repair-as-a-service worth having for an anytime algorithm.
 //!
-//! 2. **Many connections** — the serving-tier scenario from ROADMAP item
-//!    1: many concurrent clients, small requests, high connection churn
-//!    (each round is connect → request → close, the worst case for an
-//!    accept path). The same load runs against the epoll event-loop
-//!    server and against an in-bench reimplementation of the transport it
-//!    replaced — a 10 ms polled nonblocking accept spawning one detached
-//!    thread per connection — over identical schedulers. Reported as
-//!    throughput (requests/s) and p50/p99 request latency; the full run
-//!    asserts the epoll tier beats the thread-per-connection baseline.
-//!    An identity leg first submits real (small) jobs over TCP and
-//!    asserts the served reports equal direct `repair()` reports.
+//! 2. **Many connections** — many concurrent clients, small requests,
+//!    high connection churn (each round is connect → request → close, the
+//!    worst case for an accept path) against the epoll event-loop server.
+//!    Reported as throughput (requests/s) and p50/p99 request latency;
+//!    every request must be answered. An identity leg first submits real
+//!    (small) jobs over TCP and asserts the served reports equal direct
+//!    `repair()` reports.
 //!
 //! Writes `BENCH_serve.json` into the current directory (the repo root
 //! when run via `cargo run -p cpr-serve --bin bench_serve`). With
@@ -35,20 +31,19 @@
 
 use std::fmt::Write as _;
 use std::io::{BufRead as _, BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cpr_core::{RepairDriver, StepStatus};
 use cpr_serve::scheduler::DEFAULT_CHECKPOINT_EVERY;
 use cpr_serve::{
-    handle_line, job_config, job_problem, report_fingerprint, report_to_json, serve_tcp, Client,
-    JobSpec, JobState, Scheduler, SnapshotStore,
+    job_config, job_problem, report_fingerprint, report_to_json, serve_tcp, Client, JobSpec,
+    JobState, Scheduler, SnapshotStore,
 };
 use cpr_subjects::all_subjects;
 
-/// Scheduler workers behind both servers of the many-connections scenario.
+/// Scheduler workers behind the many-connections server.
 const CONN_WORKERS: usize = 1;
 
 /// Whether a row timed with `workers` scheduler workers on `cpus` CPUs
@@ -165,94 +160,6 @@ fn run_served(specs: &[JobSpec], workers: usize, store: SnapshotStore) -> Outcom
     Outcome {
         millis,
         fingerprints,
-    }
-}
-
-/// The transport this PR replaced, reimplemented minimally for the
-/// baseline leg: a 10 ms polled nonblocking accept loop spawning one
-/// detached thread per connection, each a `BufReader::read_line` loop
-/// with a 200 ms read timeout — byte-for-byte the same protocol over the
-/// same [`handle_line`] and an identical scheduler, so the comparison
-/// isolates the transport.
-struct BaselineServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: std::thread::JoinHandle<()>,
-    scheduler: Arc<Scheduler>,
-}
-
-impl BaselineServer {
-    fn start(scheduler: Scheduler) -> BaselineServer {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind baseline");
-        listener.set_nonblocking(true).expect("nonblocking");
-        let addr = listener.local_addr().expect("addr");
-        let stop = Arc::new(AtomicBool::new(false));
-        let scheduler = Arc::new(scheduler);
-        let accept_stop = Arc::clone(&stop);
-        let accept_sched = Arc::clone(&scheduler);
-        let accept_thread = std::thread::spawn(move || {
-            while !accept_stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let sched = Arc::clone(&accept_sched);
-                        let stop = Arc::clone(&accept_stop);
-                        std::thread::spawn(move || baseline_connection(stream, &sched, &stop));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        BaselineServer {
-            addr,
-            stop,
-            accept_thread,
-            scheduler,
-        }
-    }
-
-    fn shutdown(self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = self.accept_thread.join();
-        self.scheduler.shutdown();
-    }
-}
-
-fn baseline_connection(stream: TcpStream, sched: &Scheduler, stop: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let (response, _) = handle_line(sched, trimmed);
-                    let mut out = response.to_line();
-                    out.push('\n');
-                    if writer.write_all(out.as_bytes()).is_err() {
-                        return;
-                    }
-                }
-                line.clear();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
     }
 }
 
@@ -397,8 +304,8 @@ fn main() {
     // direct repair() too.
     served_over_tcp_matches_direct(if check { 2 } else { 4 }, 2);
 
-    // Serving-tier throughput: identical connection-churn load against
-    // the epoll event loop and the thread-per-connection baseline.
+    // Serving-tier throughput: connection-churn load against the epoll
+    // event loop.
     let epoll_handle = serve_tcp(
         "127.0.0.1:0",
         Scheduler::new(CONN_WORKERS, temp_store("epoll")),
@@ -408,12 +315,6 @@ fn main() {
     epoll_handle.stop();
     epoll_handle.join();
 
-    let baseline_server =
-        BaselineServer::start(Scheduler::new(CONN_WORKERS, temp_store("baseline")));
-    let baseline = many_conn_load(baseline_server.addr, conn_clients, conn_rounds);
-    baseline_server.shutdown();
-
-    let conn_speedup = epoll.rps / baseline.rps;
     let speedup = sequential.millis / served.millis;
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -426,15 +327,13 @@ fn main() {
     );
     eprintln!(
         "[bench_serve] {conn_clients} clients x {conn_rounds} connect-request-close rounds: \
-         epoll {:.0} req/s (p50 {:.2} ms, p99 {:.2} ms) vs thread-per-connection {:.0} req/s \
-         (p50 {:.2} ms, p99 {:.2} ms) -> {conn_speedup:.2}x",
-        epoll.rps, epoll.p50_ms, epoll.p99_ms, baseline.rps, baseline.p50_ms, baseline.p99_ms
+         epoll {:.0} req/s (p50 {:.2} ms, p99 {:.2} ms)",
+        epoll.rps, epoll.p50_ms, epoll.p99_ms
     );
+    assert_eq!(epoll.requests, conn_clients * conn_rounds);
 
     if check {
         assert!(speedup > 0.0, "nonsensical speedup {speedup}");
-        assert_eq!(epoll.requests, conn_clients * conn_rounds);
-        assert_eq!(baseline.requests, conn_clients * conn_rounds);
         println!(
             "bench_serve --check: OK ({jobs} warm jobs + {} served-over-TCP requests, \
              reports identical)",
@@ -457,8 +356,7 @@ fn main() {
          one step before completion, as a long-lived server accumulates; the sequential baseline \
          runs every job cold — the headline measures checkpoint reuse, not scheduler \
          parallelism. many_connections: concurrent clients doing connect-request-close rounds \
-         against the epoll event-loop server vs an in-bench reimplementation of the replaced \
-         10ms-polled thread-per-connection transport, identical schedulers\","
+         against the epoll event-loop server\","
     );
     let _ = writeln!(json, "  \"total_steps\": {total_steps},");
     let _ = writeln!(json, "  \"resumed_steps\": {resumed_steps},");
@@ -494,22 +392,10 @@ fn main() {
         json,
         "      {{\"label\": \"epoll-event-loop\", \"workers\": {CONN_WORKERS}, \
          \"comparable\": {conn_comparable}, \"rps\": {:.1}, \"p50_ms\": {:.2}, \
-         \"p99_ms\": {:.2}}},",
+         \"p99_ms\": {:.2}}}",
         epoll.rps, epoll.p50_ms, epoll.p99_ms
     );
-    let _ = writeln!(
-        json,
-        "      {{\"label\": \"thread-per-connection-baseline\", \"workers\": {CONN_WORKERS}, \
-         \"comparable\": {conn_comparable}, \"rps\": {:.1}, \"p50_ms\": {:.2}, \
-         \"p99_ms\": {:.2}}}",
-        baseline.rps, baseline.p50_ms, baseline.p99_ms
-    );
-    let _ = writeln!(json, "    ],");
-    let _ = writeln!(
-        json,
-        "    \"epoll_speedup_vs_thread_per_connection\": {}",
-        json_ratio(conn_speedup, conn_comparable)
-    );
+    let _ = writeln!(json, "    ]");
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");
 
@@ -519,10 +405,5 @@ fn main() {
     assert!(
         speedup >= 2.0,
         "acceptance: warm-resume speedup must be >= 2x cold sequential (got {speedup:.2}x)"
-    );
-    assert!(
-        conn_speedup > 1.0,
-        "acceptance: epoll serving tier must out-throughput the thread-per-connection baseline \
-         (got {conn_speedup:.2}x)"
     );
 }

@@ -1,4 +1,4 @@
-//! The epoll-sharded serving tier's transport: one event-loop thread
+//! The epoll serving tier's transport: one event-loop thread
 //! drives the listener and every client connection through edge-triggered
 //! readiness, replacing the polled accept loop and thread-per-connection
 //! readers of the original server.

@@ -11,13 +11,13 @@
 //!   errors can carry a machine-readable code ([`ServeError`]) for
 //!   conditions clients should react to (`overloaded`,
 //!   `request-too-large`);
-//! * [`scheduler`] — a sharded worker pool driving jobs step-wise:
-//!   per-shard run queues with work stealing, bounded admission, per-job
+//! * [`scheduler`] — a worker pool driving jobs step-wise: one FIFO run
+//!   queue under the job table's lock, bounded admission, per-job
 //!   iteration / wall-clock budgets and cooperative cancellation;
 //! * [`store`] — a durable snapshot store (atomic write, one file per
 //!   job); a canceled or paused job — or a whole server restart — resumes
 //!   from its latest checkpoint *bit-identically*, the same guarantee the
-//!   determinism suite proves for thread and shard counts;
+//!   determinism suite proves for thread and worker counts;
 //! * [`server`] / [`client`] — an epoll event-loop TCP server (edge-
 //!   triggered readiness, eventfd wakeup, graceful drain; plus a stdio
 //!   mode) and a small blocking client.
@@ -58,6 +58,6 @@ pub use scheduler::{
     job_config, job_problem, JobState, JobStatus, Scheduler, SchedulerOptions,
     DEFAULT_MAX_QUEUED_JOBS,
 };
-pub use server::{handle_line, serve_lines, serve_tcp, serve_tcp_with, ServerHandle};
+pub use server::{serve_lines, serve_tcp, serve_tcp_with, ServerHandle};
 pub use stats::{metrics_to_json, STATS_VERSION};
 pub use store::SnapshotStore;

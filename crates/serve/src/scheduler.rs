@@ -1,22 +1,20 @@
-//! The sharded worker-pool scheduler.
+//! The worker-pool scheduler.
 //!
 //! Jobs are repair runs over registry subjects, driven step-wise through
 //! [`RepairDriver`] so the pool can checkpoint, pause, cancel and resume
-//! them at step granularity. Ready jobs live in per-shard run queues, each
-//! with its own mutex + condvar; a worker drains its home shard first and
-//! steals from the others when idle, so the run queues scale with shard
-//! count instead of serializing on one lock. The global `State` mutex
-//! still exists, but it only guards the job table (the control plane:
-//! status, cancel/pause flags, reports) — the hot submit/claim path takes
-//! it for a table lookup, not for queueing. [`Scheduler::wait`] sleeps on
-//! the global condvar, which every terminal state transition notifies.
+//! them at step granularity. Ready jobs wait in one FIFO run queue held in
+//! the job table's `State` and guarded by its mutex. A worker pops the head
+//! under that lock and, while the queue is empty, sleeps on the `work`
+//! condvar of the same mutex. Pushes and sleeps share the lock, so a
+//! wakeup cannot be missed and no worker needs a timed backstop.
+//! [`Scheduler::wait`] sleeps on a second condvar, which every terminal
+//! state transition notifies.
 //!
-//! Queue entries are *lazy*: cancel and pause mark the job in the table
-//! and leave the shard-queue entry behind; a worker claiming an entry
-//! re-checks (under the global lock) that the job is still `Queued` before
-//! running it, and skips stale entries. This keeps the control verbs free
-//! of nested locking — no path ever holds a shard lock and the global
-//! lock at once.
+//! Queue removal is eager: `cancel` and `pause` of a queued job, and
+//! `shutdown`, take its id out of the queue under the lock that changes
+//! its state. An id is in the queue exactly while its job is `Queued`, and
+//! the queue never holds more than [`SchedulerOptions::max_queued_jobs`]
+//! ids, which bounds the removal scan.
 //!
 //! # Admission control
 //!
@@ -29,11 +27,8 @@
 //! running worker observes between driver steps, writes a durable snapshot
 //! through the [`SnapshotStore`], and parks the job — so a canceled or
 //! paused job can always be resumed later, bit-identically (the snapshot
-//! differential test in `tests/determinism.rs` is the proof obligation;
-//! its shard-count leg proves the same for 1-shard vs many-shard pools).
-//! A parked job carries no shard affinity: `resume` re-enqueues it on the
-//! least-loaded shard (and [`Scheduler::resume_on`] on an explicit one),
-//! so drained or hot shards shed parked work to the others.
+//! differential test in `tests/determinism.rs` is the proof obligation).
+//! `resume` appends a parked job to the back of the run queue.
 //! Per-job budgets ride on [`RepairConfig`]: iteration and wall-clock
 //! limits end a run through the driver's own [`StopReason`], producing a
 //! normal report.
@@ -44,20 +39,19 @@
 //! wrapped in `catch_unwind` — a panicking `RepairDriver` marks *that* job
 //! failed with the panic payload in its status — and every lock
 //! acquisition recovers a poisoned guard with `PoisonError::into_inner`
-//! (the shared state is a plain job table; there is no invariant a
-//! mid-update panic could corrupt that a recovering reader would then
-//! trip over, since all writes are field stores).
+//! (every write under the lock is a field store or a queue push or
+//! removal, none of which can panic halfway, so a recovering reader finds
+//! the job table and the run queue consistent).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cpr_core::{RepairConfig, RepairDriver, RepairProblem, StepStatus};
-use cpr_obs::{Counter, Gauge, Histogram};
+use cpr_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use cpr_smt::FleetCache;
 use cpr_subjects::all_subjects;
 
@@ -78,16 +72,16 @@ pub const DEFAULT_CHECKPOINT_EVERY: usize = 8;
 /// typed `overloaded` error.
 pub const DEFAULT_MAX_QUEUED_JOBS: usize = 256;
 
-/// How a [`Scheduler`] is shaped: worker count, shard count, and bounds.
+/// How a [`Scheduler`] is shaped: worker count, fleet cache, and the
+/// admission bound.
 #[derive(Debug, Clone)]
 pub struct SchedulerOptions {
     /// Worker threads (at least 1).
     pub workers: usize,
-    /// Run-queue shards. `0` means one shard per worker. Workers are
-    /// assigned home shards round-robin; idle workers steal across shards,
-    /// so any shard count is correct — it only tunes contention.
-    pub shards: usize,
-    /// Fleet solver-cache directory (see [`Scheduler::with_cache`]).
+    /// Fleet solver-cache directory: when given, the scheduler opens the
+    /// cache there and warm-loads its on-disk verdict store before the
+    /// first job runs. Every job shares the one in-process instance;
+    /// checkpoints and job completions flush it back to disk.
     pub cache_dir: Option<PathBuf>,
     /// Admission bound: `submit` refuses (typed `overloaded`) while this
     /// many jobs are already waiting for a worker.
@@ -98,7 +92,6 @@ impl Default for SchedulerOptions {
     fn default() -> SchedulerOptions {
         SchedulerOptions {
             workers: 1,
-            shards: 0,
             cache_dir: None,
             max_queued_jobs: DEFAULT_MAX_QUEUED_JOBS,
         }
@@ -196,11 +189,6 @@ struct Job {
     inbox: Vec<Vec<(String, i64)>>,
     /// When the job last entered the queue (submit or resume).
     queued_at: Instant,
-    /// The shard the job was enqueued on (and, once claimed, the home
-    /// shard of the worker running it — a steal updates this). Pure
-    /// placement bookkeeping, surfaced through `stats`; never a repair
-    /// input, which is how shard count stays determinism-neutral.
-    shard: usize,
     /// Observability tallies, surfaced by the `stats` verb. They never
     /// feed back into scheduling or repair decisions.
     obs: JobObs,
@@ -260,8 +248,6 @@ struct ServeObs {
     inject_accepted: Counter,
     inject_rejected: Counter,
     inject_applied: Counter,
-    shard_steals: Counter,
-    shard_rebalanced: Counter,
     queue_depth: Gauge,
     fleet_flushes: Counter,
     fleet_store_bytes: Gauge,
@@ -286,9 +272,7 @@ impl ServeObs {
             inject_accepted: reg.counter("serve.inject.accepted"),
             inject_rejected: reg.counter("serve.inject.rejected"),
             inject_applied: reg.counter("serve.inject.applied"),
-            shard_steals: reg.counter("serve.shard.steals"),
-            shard_rebalanced: reg.counter("serve.shard.rebalanced"),
-            queue_depth: reg.gauge("serve.shard.queue_depth"),
+            queue_depth: reg.gauge("serve.queue_depth"),
             // Registered even when no fleet cache is configured, so the
             // stats verb (and the allowlist smoke test) always see the
             // names, at zero.
@@ -298,35 +282,33 @@ impl ServeObs {
     }
 }
 
-/// One run-queue shard: its own lock and sleep channel, plus an idle
-/// count so `submit` can route wakeups to a shard that will actually act
-/// on them (its own workers first, else an idle stealer elsewhere).
-struct Shard {
-    queue: Mutex<VecDeque<u64>>,
-    cv: Condvar,
-    idle: AtomicUsize,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            idle: AtomicUsize::new(0),
-        }
-    }
-}
-
 struct State {
     jobs: BTreeMap<u64, Job>,
+    /// The run queue: ids of the `Queued` jobs, in claim order. Every verb
+    /// that moves a job into or out of `Queued` pushes or removes its id
+    /// here under the same lock.
+    queue: VecDeque<u64>,
     next_id: u64,
     shutting_down: bool,
 }
 
+impl State {
+    /// Takes a queued job's id out of the run queue.
+    fn unqueue(&mut self, id: u64) {
+        if let Some(pos) = self.queue.iter().position(|&q| q == id) {
+            self.queue.remove(pos);
+        }
+    }
+}
+
 struct Inner {
     state: Mutex<State>,
+    /// Notified on every terminal transition; [`Scheduler::wait`] sleeps
+    /// here.
     cv: Condvar,
-    shards: Vec<Shard>,
+    /// Notified on every queue push and at shutdown; idle workers sleep
+    /// here.
+    work: Condvar,
     max_queued_jobs: usize,
     store: SnapshotStore,
     obs: ServeObs,
@@ -354,56 +336,8 @@ impl Inner {
         }
     }
 
-    /// Jobs currently waiting for a worker (the admission-controlled
-    /// quantity), counted from the job table — shard queues can hold
-    /// stale entries and would overcount.
-    fn queued_jobs(st: &State) -> usize {
-        st.jobs
-            .values()
-            .filter(|j| j.state == JobState::Queued)
-            .count()
-    }
-
     fn refresh_queue_depth(&self, st: &State) {
-        self.obs
-            .queue_depth
-            .set(clamp_i64(Inner::queued_jobs(st) as u64));
-    }
-
-    /// The shard with the shortest run queue right now — where `submit`
-    /// and `resume` place work. Stale entries inflate a length slightly,
-    /// which only skews this heuristic, never correctness (stealing
-    /// re-levels whatever placement gets wrong).
-    fn least_loaded_shard(&self) -> usize {
-        self.shards
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| lock(&s.queue).len())
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-
-    /// Pushes a queued job onto a shard and wakes a worker that can take
-    /// it: the shard's own condvar always, plus one idle worker on
-    /// another shard when this shard has none parked (that worker's steal
-    /// pass will find the entry). Missed cross-shard wakeups are covered
-    /// by the workers' bounded sleep.
-    fn enqueue(&self, id: u64, shard: usize) {
-        {
-            let mut q = lock(&self.shards[shard].queue);
-            q.push_back(id);
-        }
-        self.shards[shard].cv.notify_one();
-        if self.shards[shard].idle.load(Ordering::SeqCst) == 0 {
-            if let Some(s) = self
-                .shards
-                .iter()
-                .enumerate()
-                .find(|(i, s)| *i != shard && s.idle.load(Ordering::SeqCst) > 0)
-            {
-                s.1.cv.notify_one();
-            }
-        }
+        self.obs.queue_depth.set(clamp_i64(st.queue.len() as u64));
     }
 }
 
@@ -450,46 +384,31 @@ pub fn job_config(spec: &JobSpec) -> RepairConfig {
 }
 
 impl Scheduler {
-    /// Starts `workers` worker threads over a snapshot store, one shard
-    /// per worker.
+    /// Starts `workers` worker threads over a snapshot store.
     ///
     /// Job ids are seeded past the highest id with a snapshot already in
     /// the store, so a fresh submit can never silently adopt a previous
     /// process's checkpoint — stale snapshots stay inert until a client
     /// claims one explicitly with [`JobSpec::resume_from`].
     pub fn new(workers: usize, store: SnapshotStore) -> Scheduler {
-        Scheduler::with_cache(workers, store, None)
-    }
-
-    /// Like [`Scheduler::new`], but additionally opens the fleet solver
-    /// cache at `cache_dir` (when given) and warm-loads its on-disk
-    /// verdict store before the first job runs. Every job this
-    /// scheduler executes shares the one in-process instance; checkpoints
-    /// and job completions flush it back to disk.
-    pub fn with_cache(
-        workers: usize,
-        store: SnapshotStore,
-        cache_dir: Option<PathBuf>,
-    ) -> Scheduler {
         Scheduler::with_options(
             SchedulerOptions {
                 workers,
-                cache_dir,
                 ..SchedulerOptions::default()
             },
             store,
         )
     }
 
-    /// The fully-shaped constructor: worker count, shard count, admission
-    /// bound, fleet cache.
+    /// The fully-shaped constructor: worker count, fleet cache, admission
+    /// bound.
     pub fn with_options(opts: SchedulerOptions, store: SnapshotStore) -> Scheduler {
-        let workers = opts.workers.max(1);
-        let shard_count = if opts.shards == 0 {
-            workers
-        } else {
-            opts.shards
-        };
+        Scheduler::start(opts, store, cpr_obs::global())
+    }
+
+    /// Builds the scheduler and spawns its workers, recording its
+    /// aggregate metrics on `reg`.
+    fn start(opts: SchedulerOptions, store: SnapshotStore, reg: &MetricsRegistry) -> Scheduler {
         let next_id = store
             .list()
             .ok()
@@ -498,40 +417,35 @@ impl Scheduler {
         let fleet = opts.cache_dir.as_deref().map(|dir| {
             FleetCache::open_shared(dir, cpr_core::RepairConfig::quick().solver.fleet_capacity)
         });
-        let obs = ServeObs::new(cpr_obs::global());
+        let obs = ServeObs::new(reg);
         if let Some(fleet) = &fleet {
             obs.fleet_store_bytes.set(clamp_i64(fleet.store_bytes()));
         }
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 jobs: BTreeMap::new(),
+                queue: VecDeque::new(),
                 next_id,
                 shutting_down: false,
             }),
             cv: Condvar::new(),
-            shards: (0..shard_count).map(|_| Shard::new()).collect(),
+            work: Condvar::new(),
             max_queued_jobs: opts.max_queued_jobs.max(1),
             store,
             obs,
             fleet,
             cache_dir: opts.cache_dir,
         });
-        let handles = (0..workers)
-            .map(|w| {
+        let handles = (0..opts.workers.max(1))
+            .map(|_| {
                 let inner = Arc::clone(&inner);
-                let home = w % shard_count;
-                std::thread::spawn(move || worker_loop(&inner, home))
+                std::thread::spawn(move || worker_loop(&inner))
             })
             .collect();
         Scheduler {
             inner,
             workers: Mutex::new(handles),
         }
-    }
-
-    /// The number of run-queue shards.
-    pub fn shards(&self) -> usize {
-        self.inner.shards.len()
     }
 
     /// Validates and enqueues a job; returns its id.
@@ -564,13 +478,12 @@ impl Scheduler {
             }
             None => None,
         };
-        let shard = self.inner.least_loaded_shard();
         let id = {
             let mut st = lock(&self.inner.state);
             if st.shutting_down {
                 return Err("server is shutting down".into());
             }
-            if Inner::queued_jobs(&st) >= self.inner.max_queued_jobs {
+            if st.queue.len() >= self.inner.max_queued_jobs {
                 self.inner.obs.jobs_overloaded.inc();
                 return Err(ServeError::coded(
                     ERR_OVERLOADED,
@@ -603,15 +516,15 @@ impl Scheduler {
                     pause_requested: false,
                     inbox: Vec::new(),
                     queued_at: Instant::now(),
-                    shard,
                     obs: JobObs::default(),
                 },
             );
+            st.queue.push_back(id);
             self.inner.obs.jobs_submitted.inc();
             self.inner.refresh_queue_depth(&st);
             id
         };
-        self.inner.enqueue(id, shard);
+        self.inner.work.notify_one();
         Ok(id)
     }
 
@@ -640,7 +553,6 @@ impl Scheduler {
                         ("subject", Json::Str(j.spec.subject.clone())),
                         ("state", Json::Str(j.state.name().to_owned())),
                         ("iterations", Json::Int(j.iterations as i64)),
-                        ("shard", Json::Int(j.shard as i64)),
                     ];
                     row.extend(j.obs.fields());
                     Json::obj(row)
@@ -649,9 +561,9 @@ impl Scheduler {
         )
     }
 
-    /// Requests cancellation. Queued jobs cancel immediately (their shard
-    /// queue entry goes stale and is skipped); running jobs checkpoint
-    /// first, so they stay resumable.
+    /// Requests cancellation. Queued jobs cancel immediately and leave
+    /// the run queue; running jobs checkpoint first, so they stay
+    /// resumable.
     pub fn cancel(&self, id: u64) -> Result<JobStatus, String> {
         let mut st = lock(&self.inner.state);
         let job = st.jobs.get_mut(&id).ok_or_else(|| format!("no job {id}"))?;
@@ -659,6 +571,7 @@ impl Scheduler {
             JobState::Queued => {
                 job.state = JobState::Canceled;
                 let status = status_of(id, job);
+                st.unqueue(id);
                 self.inner.refresh_queue_depth(&st);
                 self.inner.cv.notify_all();
                 Ok(status)
@@ -685,6 +598,7 @@ impl Scheduler {
             JobState::Queued => {
                 job.state = JobState::Paused;
                 let status = status_of(id, job);
+                st.unqueue(id);
                 self.inner.refresh_queue_depth(&st);
                 self.inner.cv.notify_all();
                 Ok(status)
@@ -697,50 +611,29 @@ impl Scheduler {
         }
     }
 
-    /// Re-enqueues a paused or canceled job on the least-loaded shard. It
+    /// Appends a paused or canceled job to the back of the run queue. It
     /// continues from its latest durable snapshot (or from scratch if it
     /// never started).
     pub fn resume(&self, id: u64) -> Result<JobStatus, String> {
-        self.resume_on(id, self.inner.least_loaded_shard())
-    }
-
-    /// Like [`Scheduler::resume`], but places the job on an explicit
-    /// shard — the rebalance hook: drain logic (and tests) use it to move
-    /// parked work onto specific shards. Crossing shards is pure
-    /// placement; the job's repair state comes entirely from its
-    /// snapshot, so the report is bit-identical wherever it lands.
-    pub fn resume_on(&self, id: u64, shard: usize) -> Result<JobStatus, String> {
-        if shard >= self.inner.shards.len() {
-            return Err(format!(
-                "no shard {shard} (this scheduler has {})",
-                self.inner.shards.len()
-            ));
+        let mut st = lock(&self.inner.state);
+        if st.shutting_down {
+            return Err("server is shutting down".into());
         }
-        let status = {
-            let mut st = lock(&self.inner.state);
-            if st.shutting_down {
-                return Err("server is shutting down".into());
+        let job = st.jobs.get_mut(&id).ok_or_else(|| format!("no job {id}"))?;
+        match job.state {
+            JobState::Paused | JobState::Canceled => {
+                job.state = JobState::Queued;
+                job.cancel_requested = false;
+                job.pause_requested = false;
+                job.queued_at = Instant::now();
+                let status = status_of(id, job);
+                st.queue.push_back(id);
+                self.inner.refresh_queue_depth(&st);
+                self.inner.work.notify_one();
+                Ok(status)
             }
-            let job = st.jobs.get_mut(&id).ok_or_else(|| format!("no job {id}"))?;
-            match job.state {
-                JobState::Paused | JobState::Canceled => {
-                    job.state = JobState::Queued;
-                    job.cancel_requested = false;
-                    job.pause_requested = false;
-                    job.queued_at = Instant::now();
-                    if job.shard != shard {
-                        self.inner.obs.shard_rebalanced.inc();
-                    }
-                    job.shard = shard;
-                    let status = status_of(id, job);
-                    self.inner.refresh_queue_depth(&st);
-                    status
-                }
-                s => return Err(format!("job {id} is {} and cannot be resumed", s.name())),
-            }
-        };
-        self.inner.enqueue(id, shard);
-        Ok(status)
+            s => Err(format!("job {id} is {} and cannot be resumed", s.name())),
+        }
     }
 
     /// Streams an input into a live job — the continuous-repair entry
@@ -887,11 +780,11 @@ impl Scheduler {
         {
             let mut st = lock(&self.inner.state);
             st.shutting_down = true;
-            // Queued jobs park as paused; their shard-queue entries go
-            // stale. Their snapshots (none yet for these) stay in the
-            // store; a future scheduler over the same store seeds its ids
-            // past them and can only pick one up when a client submits
-            // with `resume_from` explicitly.
+            // Queued jobs park as paused and leave the run queue. Their
+            // snapshots (none yet for these) stay in the store; a future
+            // scheduler over the same store seeds its ids past them and
+            // can only pick one up when a client submits with
+            // `resume_from` explicitly.
             for job in st.jobs.values_mut() {
                 match job.state {
                     JobState::Queued => job.state = JobState::Paused,
@@ -899,11 +792,10 @@ impl Scheduler {
                     _ => {}
                 }
             }
+            st.queue.clear();
             self.inner.refresh_queue_depth(&st);
             self.inner.cv.notify_all();
-        }
-        for shard in &self.inner.shards {
-            shard.cv.notify_all();
+            self.inner.work.notify_all();
         }
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *lock(&self.workers));
         for h in handles {
@@ -953,67 +845,32 @@ fn status_of(id: u64, job: &Job) -> JobStatus {
     }
 }
 
-/// Claims the next runnable job visible from `home`: the home shard's
-/// queue first, then the other shards in ring order (a successful
-/// cross-shard pop is a steal). Entries are claimed by re-checking, under
-/// the global lock, that the job is still `Queued` — stale entries left
-/// behind by cancel/pause/shutdown are popped and dropped. The shard lock
-/// is always released before the global lock is taken, so there is no
-/// lock-order coupling between the two.
-fn claim_job(inner: &Inner, home: usize) -> Option<(u64, JobSpec)> {
-    let n = inner.shards.len();
-    for offset in 0..n {
-        let src = (home + offset) % n;
-        loop {
-            let popped = lock(&inner.shards[src].queue).pop_front();
-            let Some(id) = popped else { break };
-            let mut st = lock(&inner.state);
-            let Some(job) = st.jobs.get_mut(&id) else {
-                continue;
-            };
-            if job.state != JobState::Queued {
-                continue; // stale entry: canceled, paused, or parked
-            }
-            job.state = JobState::Running;
-            job.shard = home;
-            let waited = nanos_u64(job.queued_at.elapsed());
-            job.obs.queue_wait_nanos += waited;
-            inner.obs.queue_wait.record(waited);
-            if src != home {
-                inner.obs.shard_steals.inc();
-            }
-            let spec = job.spec.clone();
-            inner.refresh_queue_depth(&st);
-            return Some((id, spec));
+/// Claims the job at the head of the run queue, sleeping on `work` while
+/// the queue is empty. Returns `None` once the scheduler shuts down.
+fn claim_job(inner: &Inner) -> Option<(u64, JobSpec)> {
+    let mut st = lock(&inner.state);
+    let id = loop {
+        if st.shutting_down {
+            return None;
         }
-    }
-    None
+        if let Some(id) = st.queue.pop_front() {
+            break id;
+        }
+        st = inner.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+    };
+    let job = st.jobs.get_mut(&id).expect("a queued id names a job");
+    job.state = JobState::Running;
+    let waited = nanos_u64(job.queued_at.elapsed());
+    job.obs.queue_wait_nanos += waited;
+    inner.obs.queue_wait.record(waited);
+    let spec = job.spec.clone();
+    inner.refresh_queue_depth(&st);
+    Some((id, spec))
 }
 
-fn worker_loop(inner: &Inner, home: usize) {
-    loop {
-        if let Some((id, spec)) = claim_job(inner, home) {
-            run_job(inner, id, &spec);
-            continue;
-        }
-        if lock(&inner.state).shutting_down {
-            return;
-        }
-        let shard = &inner.shards[home];
-        let q = lock(&shard.queue);
-        if !q.is_empty() {
-            continue; // work arrived between the claim pass and this lock
-        }
-        // The bounded sleep backstops two benign races: a cross-shard
-        // enqueue that found no idle worker to wake, and an idle-count
-        // read that raced this registration.
-        shard.idle.fetch_add(1, Ordering::SeqCst);
-        let (q, _) = shard
-            .cv
-            .wait_timeout(q, Duration::from_millis(50))
-            .unwrap_or_else(PoisonError::into_inner);
-        shard.idle.fetch_sub(1, Ordering::SeqCst);
-        drop(q);
+fn worker_loop(inner: &Inner) {
+    while let Some((id, spec)) = claim_job(inner) {
+        run_job(inner, id, &spec);
     }
 }
 
@@ -1396,7 +1253,12 @@ mod tests {
 
     #[test]
     fn a_panicking_job_fails_alone_and_leaves_siblings_healthy() {
-        let sched = Scheduler::new(1, temp_store("poison"));
+        // `PANIC_JOB` is process-wide and the unit tests run schedulers in
+        // parallel, each numbering its jobs from 1. A stored snapshot under
+        // id 1000 seeds this scheduler's ids past every sibling test's.
+        let store = temp_store("poison");
+        store.save(1000, b"inert").unwrap();
+        let sched = Scheduler::new(1, store);
         let subject = first_subject();
         // The next submit gets this id; arm the injection before the
         // single worker can pick the job up.
@@ -1473,7 +1335,6 @@ mod tests {
         assert!(row.get("snapshots_written").and_then(Json::as_u64).unwrap() > 0);
         assert!(row.get("snapshot_bytes").and_then(Json::as_u64).unwrap() > 0);
         assert!(row.get("queue_wait_nanos").and_then(Json::as_u64).is_some());
-        assert!(row.get("shard").and_then(Json::as_u64).is_some());
         sched.shutdown();
         let _ = std::fs::remove_dir_all(sched.store().dir());
     }
@@ -1529,9 +1390,7 @@ mod tests {
     #[test]
     fn queued_jobs_cancel_pause_and_resume() {
         // No free workers: the single worker is busy with the first job,
-        // so the rest stay queued and exercise the queued-state paths
-        // (including stale shard-queue entries being skipped, since lazy
-        // removal leaves their ids behind).
+        // so the rest stay queued and exercise the queued-state paths.
         let sched = Scheduler::new(1, temp_store("queued"));
         let subject = first_subject();
         let busy = sched.submit(quick_spec(&subject)).unwrap();
@@ -1591,33 +1450,87 @@ mod tests {
         let _ = std::fs::remove_dir_all(sched.store().dir());
     }
 
-    #[test]
-    fn work_submitted_to_one_shard_is_stolen_by_idle_workers() {
-        // Four workers, four shards, four jobs force-placed far from
-        // their claimants via resume_on: with every job parked first and
-        // then resumed onto shard 0, three of the four can only run if
-        // other shards' workers steal them.
-        let store = temp_store("steal");
-        let sched = Scheduler::with_options(
-            SchedulerOptions {
-                workers: 4,
-                shards: 4,
-                ..SchedulerOptions::default()
-            },
-            store,
-        );
-        assert_eq!(sched.shards(), 4);
-        let subject = first_subject();
-        let ids: Vec<u64> = (0..4)
-            .map(|_| sched.submit(quick_spec(&subject)).unwrap())
-            .collect();
-        for &id in &ids {
-            let st = sched.wait(id, Duration::from_secs(240)).unwrap();
-            assert_eq!(st.state, JobState::Done, "{:?}", st.error);
+    /// Polls until the single worker has claimed `id` (it left `Queued`).
+    fn wait_claimed(sched: &Scheduler, id: u64) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while sched.status(id).unwrap().state == JobState::Queued {
+            assert!(Instant::now() < deadline, "job {id} never started");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        // Placement on a nonexistent shard is refused.
-        assert!(sched.resume_on(ids[0], 99).is_err());
+    }
+
+    #[test]
+    fn the_run_queue_is_fifo_with_eager_removal() {
+        // One worker held busy by long jobs, and a private registry so the
+        // depth gauge is this scheduler's alone (the unit tests run
+        // schedulers in parallel).
+        let sched = Scheduler::start(
+            SchedulerOptions::default(),
+            temp_store("fifo"),
+            &MetricsRegistry::new(),
+        );
+        // After every verb the queue holds exactly the `Queued` jobs, in
+        // `want` order, and the depth gauge reads its length.
+        let check = |want: &[u64]| {
+            let st = lock(&sched.inner.state);
+            assert_eq!(st.queue.iter().copied().collect::<Vec<_>>(), want);
+            let queued: Vec<u64> = st
+                .jobs
+                .iter()
+                .filter(|(_, j)| j.state == JobState::Queued)
+                .map(|(id, _)| *id)
+                .collect();
+            let mut sorted = want.to_vec();
+            sorted.sort_unstable();
+            assert_eq!(queued, sorted);
+            assert_eq!(sched.inner.obs.queue_depth.get(), want.len() as i64);
+        };
+        let mut long = quick_spec(&first_subject());
+        long.max_iterations = Some(500);
+        let busy = sched.submit(long.clone()).unwrap();
+        wait_claimed(&sched, busy);
+        check(&[]);
+        let ids: Vec<u64> = (0..4)
+            .map(|_| sched.submit(long.clone()).unwrap())
+            .collect();
+        let [a, b, c, d] = ids[..] else {
+            unreachable!()
+        };
+        check(&[a, b, c, d]);
+        sched.pause(b).unwrap();
+        check(&[a, c, d]);
+        sched.cancel(c).unwrap();
+        check(&[a, d]);
+        // A resumed job goes behind the jobs already queued.
+        sched.resume(b).unwrap();
+        check(&[a, d, b]);
+
+        // Releasing the worker claims the head; pausing each claimed job
+        // in turn walks the queue in order.
+        let mut running = busy;
+        for (next, rest) in [(a, vec![d, b]), (d, vec![b]), (b, vec![])] {
+            sched.pause(running).unwrap();
+            wait_claimed(&sched, next);
+            check(&rest);
+            running = next;
+        }
+
+        // Shutdown with jobs queued behind the busy worker parks them,
+        // empties the queue, and joins.
+        sched.resume(a).unwrap();
+        sched.resume(c).unwrap();
+        check(&[a, c]);
         sched.shutdown();
+        check(&[]);
+        for id in [a, b, c] {
+            assert_eq!(sched.status(id).unwrap().state, JobState::Paused);
+        }
         let _ = std::fs::remove_dir_all(sched.store().dir());
+
+        // Idle workers blocked on an empty queue wake for shutdown: there
+        // is no timed backstop, so a missed notify would hang the join.
+        let idle = Scheduler::new(2, temp_store("idle"));
+        idle.shutdown();
+        let _ = std::fs::remove_dir_all(idle.store().dir());
     }
 }

@@ -34,7 +34,7 @@ use crate::sys::Waker;
 
 /// Dispatches one protocol line against the scheduler. Returns the
 /// response and whether the line was a (successful) shutdown request.
-pub fn handle_line(sched: &Scheduler, line: &str) -> (Json, bool) {
+pub(crate) fn handle_line(sched: &Scheduler, line: &str) -> (Json, bool) {
     let req = match Request::parse(line) {
         Ok(req) => req,
         Err(e) => return (error_response(&e), false),

@@ -34,8 +34,11 @@ use crate::json::Json;
 /// tallies, hit rate, and on-disk store size); to 3 with the epoll
 /// serving tier, when job rows gained a `shard` field and the process
 /// section the `serve.accept.*`, `serve.shard.*` and `serve.conn.*`
-/// metric families.
-pub const STATS_VERSION: i64 = 3;
+/// metric families; to 4 when the scheduler went to one run queue, which
+/// dropped the job rows' `shard` field and the `serve.shard.steals` and
+/// `serve.shard.rebalanced` counters, and renamed the queue-depth gauge
+/// `serve.queue_depth`.
+pub const STATS_VERSION: i64 = 4;
 
 fn clamp_i64(v: u64) -> i64 {
     i64::try_from(v).unwrap_or(i64::MAX)

@@ -61,10 +61,10 @@ while IFS= read -r metric; do
   subsystem="${metric%%.*}"
   # Fleet-cache and serving-tier metrics get the stricter two-level
   # prefix: a bare mention of `solver.` must not vouch for the
-  # solver.fleet.* family, nor `serve.` for serve.accept.*/shard./conn.
+  # solver.fleet.* family, nor `serve.` for serve.accept.*/conn.*.
   case "$metric" in
     solver.fleet.*) subsystem="solver.fleet";;
-    serve.accept.*|serve.shard.*|serve.conn.*) subsystem="${metric%.*}";;
+    serve.accept.*|serve.conn.*) subsystem="${metric%.*}";;
   esac
   grep -q -e "$metric" -e "\`$subsystem\." DESIGN.md || {
     echo "metric $metric is in docs/metrics_allowlist.txt but DESIGN.md never mentions it or its subsystem"

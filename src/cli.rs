@@ -72,17 +72,16 @@ USAGE:
   cpr subjects [--benchmark extractfix|manybugs|svcomp] [--run <name>]
       List the benchmark registry, or repair one registry subject.
 
-  cpr serve [--addr host:port] [--workers N] [--shards N]
-            [--max-queued N] [--state-dir DIR] [--cache-dir DIR] [--stdio]
+  cpr serve [--addr host:port] [--workers N] [--max-queued N]
+            [--state-dir DIR] [--cache-dir DIR] [--stdio]
       Start the repair job server (JSON-lines protocol, DESIGN.md §4.7;
       epoll serving tier, §4.14). Defaults: --addr 127.0.0.1:7411,
-      --workers 4, --shards one per worker, --max-queued 256,
-      --state-dir .cpr-serve. Work is sharded across per-shard run
-      queues with work stealing; submits past --max-queued waiting jobs
-      draw a typed `overloaded` error. With --cache-dir, every job
-      shares a persistent fleet solver cache warm-loaded from DIR at
-      startup and flushed at each checkpoint. With --stdio, serves one
-      session on stdin/stdout instead of TCP.
+      --workers 4, --max-queued 256, --state-dir .cpr-serve. Workers
+      take jobs from one FIFO run queue; submits past --max-queued
+      waiting jobs draw a typed `overloaded` error. With --cache-dir,
+      every job shares a persistent fleet solver cache warm-loaded from
+      DIR at startup and flushed at each checkpoint. With --stdio,
+      serves one session on stdin/stdout instead of TCP.
 
   cpr submit <subject> [--addr host:port] [--max-iterations N]
              [--time-budget-ms N] [--threads N] [--checkpoint-every N]
@@ -745,23 +744,15 @@ fn parse_opt_num<T: std::str::FromStr>(opts: &Opts<'_>, name: &str) -> Result<Op
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
-        &[
-            "addr",
-            "workers",
-            "shards",
-            "max-queued",
-            "state-dir",
-            "cache-dir",
-        ],
+        &["addr", "workers", "max-queued", "state-dir", "cache-dir"],
         &["stdio"],
     )?;
     if !opts.positional.is_empty() {
         return Err(
-            "usage: cpr serve [--addr host:port] [--workers N] [--shards N] [--max-queued N] [--state-dir DIR] [--cache-dir DIR] [--stdio]".into(),
+            "usage: cpr serve [--addr host:port] [--workers N] [--max-queued N] [--state-dir DIR] [--cache-dir DIR] [--stdio]".into(),
         );
     }
     let workers: usize = parse_opt_num(&opts, "workers")?.unwrap_or(4);
-    let shards: usize = parse_opt_num(&opts, "shards")?.unwrap_or(0);
     let max_queued: usize =
         parse_opt_num(&opts, "max-queued")?.unwrap_or(cpr_serve::DEFAULT_MAX_QUEUED_JOBS);
     let state_dir = opts.value("state-dir").unwrap_or(".cpr-serve");
@@ -771,13 +762,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let scheduler = cpr_serve::Scheduler::with_options(
         cpr_serve::SchedulerOptions {
             workers,
-            shards,
             cache_dir,
             max_queued_jobs: max_queued,
         },
         store,
     );
-    let shard_count = scheduler.shards();
     if opts.has("stdio") {
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
@@ -790,7 +779,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let handle =
         cpr_serve::serve_tcp(addr, scheduler).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     println!(
-        "cpr serve: listening on {} ({workers} workers, {shard_count} shards, state in {state_dir})",
+        "cpr serve: listening on {} ({workers} workers, state in {state_dir})",
         handle.addr()
     );
     handle.join();

@@ -419,23 +419,22 @@ fn corrupted_fleet_cache_falls_back_to_cold_and_identical() {
 }
 
 #[test]
-fn sharded_scheduling_never_changes_the_repair_report() {
-    // Shard placement is pure scheduler bookkeeping — which run queue a
-    // job id sits in is never an input to the repair itself. So a report
-    // produced by a 1-shard/1-worker scheduler, a 4-shard/4-worker
-    // scheduler, and a job that was parked and explicitly rebalanced to a
-    // different shard mid-flight must all be bit-identical to a direct
-    // `repair()` call on the same spec.
+fn scheduling_never_changes_the_repair_report() {
+    // Which worker runs a job, and when, is never an input to the repair
+    // itself. So a report produced by a 1-worker scheduler, a 4-worker
+    // scheduler, and a job that was paused while queued and resumed to the
+    // back of the queue must all be bit-identical to a direct `repair()`
+    // call on the same spec.
     use std::time::Duration;
 
     use cpr_serve::{
-        job_config, job_problem, report_fingerprint, report_to_json, JobSpec, JobState, Json,
-        Scheduler, SchedulerOptions, SnapshotStore,
+        job_config, job_problem, report_fingerprint, report_to_json, JobSpec, JobState, Scheduler,
+        SnapshotStore,
     };
 
     let store = |tag: &str| {
         let dir = std::env::temp_dir().join(format!(
-            "cpr_determinism_shards_{tag}_{}",
+            "cpr_determinism_sched_{tag}_{}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -452,7 +451,7 @@ fn sharded_scheduling_never_changes_the_repair_report() {
             spec
         })
         .collect();
-    assert!(specs.len() >= 2, "need at least 2 supported subjects");
+    assert!(specs.len() >= 3, "need at least 3 supported subjects");
     let direct: Vec<String> = specs
         .iter()
         .map(|spec| {
@@ -463,17 +462,10 @@ fn sharded_scheduling_never_changes_the_repair_report() {
         })
         .collect();
 
-    // Identity across shard counts: the same specs through a single-shard
-    // and a four-shard scheduler (work stealing active in the latter).
-    for (tag, workers, shards) in [("one", 1usize, 1usize), ("four", 4, 4)] {
-        let sched = Scheduler::with_options(
-            SchedulerOptions {
-                workers,
-                shards,
-                ..SchedulerOptions::default()
-            },
-            store(tag),
-        );
+    // Identity across worker counts: the same specs through a 1-worker
+    // and a 4-worker scheduler.
+    for (tag, workers) in [("one", 1usize), ("four", 4)] {
+        let sched = Scheduler::new(workers, store(tag));
         let ids: Vec<u64> = specs
             .iter()
             .map(|s| sched.submit(s.clone()).expect("submit"))
@@ -484,56 +476,30 @@ fn sharded_scheduling_never_changes_the_repair_report() {
             assert_eq!(
                 report_fingerprint(&sched.report(id).expect("report")),
                 *want,
-                "{tag} shard config: job {id} report diverged from direct repair()"
+                "{tag} workers: job {id} report diverged from direct repair()"
             );
         }
         sched.shutdown();
     }
 
-    // Identity across a cross-shard rebalance: with one worker, the
-    // second submit stays queued behind the first; park it, move it to a
-    // different shard via resume_on, and the eventual report must still
-    // match direct repair().
-    let sched = Scheduler::with_options(
-        SchedulerOptions {
-            workers: 1,
-            shards: 4,
-            ..SchedulerOptions::default()
-        },
-        store("rebalance"),
-    );
-    let blocker = sched.submit(specs[0].clone()).expect("submit blocker");
-    let parked = sched.submit(specs[1].clone()).expect("submit parked");
-    sched.pause(parked).expect("pause queued job");
-    let shard_of = |id: u64| -> i64 {
-        let stats = sched.job_stats();
-        match &stats {
-            Json::Arr(rows) => rows
-                .iter()
-                .find(|r| r.get("job").and_then(Json::as_u64) == Some(id))
-                .and_then(|r| r.get("shard"))
-                .and_then(Json::as_i64)
-                .expect("job row with shard"),
-            other => panic!("job_stats must be an array, got {other:?}"),
-        }
-    };
-    let home = shard_of(parked);
-    let target = ((home as usize) + 1) % 4;
-    sched
-        .resume_on(parked, target)
-        .expect("rebalance to another shard");
-    assert_eq!(
-        shard_of(parked),
-        target as i64,
-        "rebalance did not move the job's shard"
-    );
-    for (id, want) in [(blocker, &direct[0]), (parked, &direct[1])] {
+    // Identity across a requeue: with one worker, the later submits stay
+    // queued behind the first; pause one while it is queued and resume it
+    // behind the other, and every report must still match direct repair().
+    let sched = Scheduler::new(1, store("requeue"));
+    let ids: Vec<u64> = specs[..3]
+        .iter()
+        .map(|s| sched.submit(s.clone()).expect("submit"))
+        .collect();
+    let paused = sched.pause(ids[1]).expect("pause queued job");
+    assert_eq!(paused.state, JobState::Paused);
+    sched.resume(ids[1]).expect("resume paused job");
+    for (&id, want) in ids.iter().zip(&direct) {
         let status = sched.wait(id, Duration::from_secs(600)).expect("wait");
         assert_eq!(status.state, JobState::Done, "job {id} not done");
         assert_eq!(
             report_fingerprint(&sched.report(id).expect("report")),
             *want,
-            "rebalanced job {id} report diverged from direct repair()"
+            "requeued job {id} report diverged from direct repair()"
         );
     }
     sched.shutdown();
