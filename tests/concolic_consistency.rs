@@ -236,3 +236,17 @@ fn roundup_saturates_like_its_term() {
       }";
     assert_eq!(run_both_modes(src, 5), Outcome::Returned(1));
 }
+
+/// `-(-m)` is not `m` where `m` saturates to `i64::MIN`: negation
+/// saturates, so the term keeps both negations and the recorded step
+/// agrees with the concrete branch.
+#[test]
+fn double_negation_at_i64_min_matches_the_concrete_branch() {
+    let src = "program p {
+        input x in [-10, 10];
+        var m: int = x - 4611686018427387904 * 4 - 1;
+        if (-(-m) - m > 0) { return 1; }
+        return 0;
+      }";
+    assert_eq!(run_both_modes(src, -5), Outcome::Returned(1));
+}

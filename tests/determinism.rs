@@ -6,9 +6,12 @@
 
 use std::path::Path;
 
-use cpr_core::{repair, RepairConfig, RepairDriver, RepairReport, StepStatus};
+use cpr_core::{
+    repair, test_input, RepairConfig, RepairDriver, RepairProblem, RepairReport, StepStatus,
+};
 use cpr_obs::MetricsRegistry;
 use cpr_subjects::all_subjects;
+use cpr_synth::{ComponentSet, SynthConfig};
 
 /// Everything in the report except the wall clock, as a comparable string.
 fn report_key(r: &RepairReport) -> String {
@@ -325,6 +328,67 @@ fn fleet_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// A job whose solver queries outlast the solver's local probe, so a run
+/// with a fleet cache reads and writes the store: the registry subjects'
+/// queries are all decided by the probe and never reach the fleet. The
+/// nonlinear specification is `bench_cache`'s.
+fn escalating_problem() -> RepairProblem {
+    let program = cpr_lang::parse(
+        "program fleet_escalation {
+            input x in [-100000, 100000];
+            input y in [-100000, 100000];
+            input z in [-100000, 100000];
+            if (__patch_cond__(x, y, z)) { return 1; }
+            var w: int = 0;
+            if (x > 0) { w = 1; } else { w = 2; }
+            if (y > 0) { w = w + 10; }
+            bug nonlinear_identity requires (x * y != z * z + 1);
+            return w;
+          }",
+    )
+    .unwrap();
+    cpr_lang::check(&program).unwrap();
+    RepairProblem::new(
+        "fleet_escalation",
+        program,
+        ComponentSet::new()
+            .with_all_comparisons()
+            .with_logic()
+            .with_variables(["x", "y", "z"])
+            .with_constants(&[0, 1]),
+        SynthConfig::default(),
+        vec![
+            test_input(&[("x", 7), ("y", 0), ("z", 1)]),
+            test_input(&[("x", -3), ("y", -4), ("z", 20)]),
+        ],
+    )
+}
+
+/// One repair of `problem` with the fleet cache at `cache_dir` (or none):
+/// the report key and the fleet hits the run scored.
+fn fleet_run(
+    problem: &RepairProblem,
+    threads: usize,
+    cache_dir: Option<&std::path::Path>,
+) -> (String, u64) {
+    let registry = MetricsRegistry::new();
+    let mut config = RepairConfig::quick();
+    config.max_iterations = 6;
+    config.threads = threads;
+    config.solver.max_nodes = 2_000;
+    config.solver.cache_dir = cache_dir.map(Path::to_path_buf);
+    let mut driver = RepairDriver::with_metrics(problem.clone(), config, &registry);
+    while driver.step() == StepStatus::Running {}
+    let key = report_key(&driver.finish());
+    let hits = registry
+        .snapshot()
+        .counters
+        .iter()
+        .find(|(name, _)| name == "solver.fleet.hits")
+        .map_or(0, |(_, v)| *v);
+    (key, hits)
+}
+
 #[test]
 fn fleet_cache_never_changes_the_repair_report() {
     // The persistent fleet cache must be a pure accelerator with the
@@ -336,36 +400,26 @@ fn fleet_cache_never_changes_the_repair_report() {
     // fleet-cached verdict replays exactly what a cold search would have
     // computed, because verdicts are content-addressed and answered in
     // content-canonical order.
-    let subjects = all_subjects();
-    let mut checked = 0;
-    for subject in subjects.iter().filter(|s| !s.not_supported).take(3) {
-        let name = subject.name();
-        let problem = subject.problem();
-        let run = |threads: usize, cache_dir: Option<&std::path::Path>| {
-            let mut config = RepairConfig::quick();
-            config.max_iterations = 12;
-            config.threads = threads;
-            config.solver.cache_dir = cache_dir.map(Path::to_path_buf);
-            report_key(&repair(&problem, &config))
-        };
-        let baseline = run(1, None);
-        for threads in [1, 4] {
-            let dir = fleet_dir(&format!("{name}_{threads}"));
-            let cold = run(threads, Some(&dir));
-            assert_eq!(
-                baseline, cold,
-                "{name}: a cold fleet cache changed the report at {threads} threads"
-            );
-            let warm = run(threads, Some(&dir));
-            assert_eq!(
-                baseline, warm,
-                "{name}: a warm fleet cache changed the report at {threads} threads"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        checked += 1;
+    let problem = escalating_problem();
+    let (baseline, _) = fleet_run(&problem, 1, None);
+    for threads in [1, 4] {
+        let dir = fleet_dir(&format!("identity_{threads}"));
+        let (cold, _) = fleet_run(&problem, threads, Some(&dir));
+        assert_eq!(
+            baseline, cold,
+            "a cold fleet cache changed the report at {threads} threads"
+        );
+        let (warm, hits) = fleet_run(&problem, threads, Some(&dir));
+        assert_eq!(
+            baseline, warm,
+            "a warm fleet cache changed the report at {threads} threads"
+        );
+        assert!(
+            hits > 0,
+            "the warm run at {threads} threads scored no fleet hits"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert!(checked >= 3, "expected at least 3 supported subjects");
 }
 
 #[test]
@@ -376,33 +430,28 @@ fn corrupted_fleet_cache_falls_back_to_cold_and_identical() {
     // first flush rewrites the file wholesale. Garbage that fails the
     // magic check and a bit-flipped record that fails its checksum both
     // take that path.
-    let subjects = all_subjects();
-    let subject = subjects
-        .iter()
-        .find(|s| !s.not_supported)
-        .expect("at least one supported subject");
-    let name = subject.name();
-    let problem = subject.problem();
-    let run = |threads: usize, cache_dir: Option<&std::path::Path>| {
-        let mut config = RepairConfig::quick();
-        config.max_iterations = 12;
-        config.threads = threads;
-        config.solver.cache_dir = cache_dir.map(Path::to_path_buf);
-        report_key(&repair(&problem, &config))
-    };
-    let baseline = run(1, None);
+    let problem = escalating_problem();
+    let (baseline, _) = fleet_run(&problem, 1, None);
     let dir = fleet_dir("corrupt");
-    // Populate a real store first, then damage it two different ways.
-    assert_eq!(baseline, run(1, Some(&dir)), "{name}: cold run diverged");
+    // Populate a real store first and show a warm run reads it, then
+    // damage it two different ways.
+    assert_eq!(
+        baseline,
+        fleet_run(&problem, 1, Some(&dir)).0,
+        "cold run diverged"
+    );
     let log = dir.join("cache.log");
     let good = std::fs::read(&log).expect("populated cache.log");
+    let (warm, hits) = fleet_run(&problem, 1, Some(&dir));
+    assert_eq!(baseline, warm, "warm run diverged");
+    assert!(hits > 0, "the intact store scored no fleet hits");
     for threads in [1, 4] {
         // Foreign bytes: fails the magic check.
         std::fs::write(&log, b"not a fleet cache at all").unwrap();
         assert_eq!(
             baseline,
-            run(threads, Some(&dir)),
-            "{name}: a garbage store changed the report at {threads} threads"
+            fleet_run(&problem, threads, Some(&dir)).0,
+            "a garbage store changed the report at {threads} threads"
         );
         // Bit flip mid-record: fails that record's checksum.
         let mut flipped = good.clone();
@@ -411,8 +460,8 @@ fn corrupted_fleet_cache_falls_back_to_cold_and_identical() {
         std::fs::write(&log, &flipped).unwrap();
         assert_eq!(
             baseline,
-            run(threads, Some(&dir)),
-            "{name}: a bit-flipped store changed the report at {threads} threads"
+            fleet_run(&problem, threads, Some(&dir)).0,
+            "a bit-flipped store changed the report at {threads} threads"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
