@@ -182,13 +182,12 @@ impl TermDigests {
     /// Reorders `live` into content-canonical order: ascending by content
     /// digest, ties (structurally identical terms cannot coexist in one
     /// hash-consed pool, so ties require a digest collision) broken by
-    /// `TermId` for total determinism in-process.
-    pub(crate) fn sort_by_content(&self, pool: &TermPool, live: &[TermId]) -> Vec<TermId> {
-        let digests = self.of_terms(pool, live);
-        let mut keyed: Vec<(u128, TermId)> =
-            digests.into_iter().zip(live.iter().copied()).collect();
-        keyed.sort_unstable();
-        keyed.into_iter().map(|(_, t)| t).collect()
+    /// `TermId` for total determinism in-process. The table must cover
+    /// every term of `live` ([`TermDigests::sync`] first).
+    pub(crate) fn sort_by_content(&self, live: &[TermId]) -> Vec<TermId> {
+        let mut sorted = live.to_vec();
+        sorted.sort_unstable_by_key(|&t| (self.get(t), t));
+        sorted
     }
 }
 
@@ -282,7 +281,7 @@ mod tests {
 
         let mut da = TermDigests::default();
         da.sync(&pool_a);
-        let db = TermDigests::default(); // exercise the uncovered fallback
+        let mut db = TermDigests::default(); // exercise the uncovered fallback
         let digests_a = da.of_terms(&pool_a, &cs_a);
         let digests_b = db.of_terms(&pool_b, &cs_b);
         assert_eq!(
@@ -294,8 +293,9 @@ mod tests {
         assert_ne!(cs_a, cs_b, "test must exercise different id assignments");
 
         // The content order is id-independent too.
-        let sorted_a = da.sort_by_content(&pool_a, &cs_a);
-        let sorted_b = db.sort_by_content(&pool_b, &cs_b);
+        db.sync(&pool_b);
+        let sorted_a = da.sort_by_content(&cs_a);
+        let sorted_b = db.sort_by_content(&cs_b);
         let names = |pool: &TermPool, ts: &[TermId]| -> Vec<u128> {
             let d = TermDigests::default();
             d.of_terms(pool, ts)

@@ -14,7 +14,7 @@ impl TermPool {
     /// under the pool's total evaluation.
     ///
     /// Beyond constructor-level folding this normalizes:
-    /// * `x - x → 0`, `x + (-y) → x - y`
+    /// * `x - x → 0`
     /// * comparisons with both sides equal
     /// * `¬¬t → t`, De-Morgan push of `¬` over `∧`/`∨`
     /// * flattened duplicate conjuncts/disjuncts
@@ -120,16 +120,9 @@ impl TermPool {
     fn simplify_arith(&mut self, op: ArithOp, a: TermId, b: TermId) -> TermId {
         match op {
             ArithOp::Sub if a == b => self.int(0),
-            ArithOp::Add => {
-                // x + (-y) → x - y
-                if let TermData::Neg(y) = self.data(b) {
-                    return self.sub(a, y);
-                }
-                if let TermData::Neg(x) = self.data(a) {
-                    return self.sub(b, x);
-                }
-                self.add(a, b)
-            }
+            // No `x + (-y) → x - y`: negation saturates, so at `y = i64::MIN`
+            // the two differ (at `x = -1`: `MAX - 1` against `MAX`). A
+            // constant `y` needs no rule: `-c` has already folded.
             _ => self.arith(op, a, b),
         }
     }
@@ -158,14 +151,45 @@ mod tests {
     }
 
     #[test]
-    fn add_neg_becomes_sub() {
+    fn add_neg_of_a_constant_folds_the_constant() {
+        // `Neg` of a constant comes only from a decoded pool (the
+        // constructor folds it); simplifying folds it the same way.
         let mut p = TermPool::new();
         let x = p.named_var("x", Sort::Int);
-        let y = p.named_var("y", Sort::Int);
-        let ny = p.neg(y);
-        let e = p.add(x, ny);
+        let c = p.int(7);
+        let nc = p.intern_unfolded(TermData::Neg(c));
+        let e = p.add(x, nc);
         let s = p.simplify(e);
-        assert_eq!(s, p.sub(x, y));
+        let minus_seven = p.int(-7);
+        assert_eq!(s, p.add(x, minus_seven));
+    }
+
+    #[test]
+    fn add_neg_stays_exact_at_i64_min() {
+        // Under saturating evaluation `-1 + -(MIN)` is `MAX - 1` while
+        // `-1 - MIN` is `MAX`, so neither a variable nor the constant
+        // `MIN` under `Neg` may be rewritten into a subtraction.
+        let mut p = TermPool::new();
+        let xv = p.var("x", Sort::Int);
+        let yv = p.var("y", Sort::Int);
+        let x = p.var_term(xv);
+        let y = p.var_term(yv);
+        let min = p.int(i64::MIN);
+        let neg_min = p.intern_unfolded(TermData::Neg(min));
+        let ny = p.neg(y);
+        let mut m = Model::new();
+        m.set(xv, -1);
+        m.set(yv, i64::MIN);
+        for e in [
+            p.add(x, ny),
+            p.add(ny, x),
+            p.add(x, neg_min),
+            p.add(neg_min, x),
+        ] {
+            let s = p.simplify(e);
+            assert_eq!(m.eval_int(&p, e), i64::MAX - 1);
+            assert_eq!(m.eval_int(&p, s), m.eval_int(&p, e), "{}", p.display(e));
+        }
     }
 
     #[test]

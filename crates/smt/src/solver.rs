@@ -13,7 +13,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use cpr_obs::{Counter, Histogram, MetricsRegistry};
@@ -24,7 +23,7 @@ use crate::fleet::{FleetCache, FleetKey, FleetVerdict};
 use crate::interval::Interval;
 use crate::model::{Model, Value};
 use crate::term::{ArithOp, CmpOp, Sort, TermData, TermId, TermPool, VarId};
-use crate::zone;
+use crate::zone::{self, ZoneScratch};
 
 /// Initial variable domains for a query.
 ///
@@ -353,6 +352,8 @@ struct SolverObs {
     fleet_misses: Counter,
     fleet_stores: Counter,
     fleet_load_errors: Counter,
+    zone_checks: Counter,
+    zone_refuted: Counter,
     solve_nanos: Histogram,
 }
 
@@ -369,6 +370,8 @@ impl SolverObs {
             fleet_misses: reg.counter("solver.fleet.misses"),
             fleet_stores: reg.counter("solver.fleet.stores"),
             fleet_load_errors: reg.counter("solver.fleet.load_errors"),
+            zone_checks: reg.counter("solver.zone.checks"),
+            zone_refuted: reg.counter("solver.zone.refuted"),
             solve_nanos: reg.histogram("solver.solve_nanos"),
         }
     }
@@ -401,7 +404,8 @@ fn domains_fingerprint(domains: &Domains, default: Interval) -> u64 {
 }
 
 /// The branch-and-prune solver. Stateless between queries apart from
-/// [`SolverStats`] and the memoizing query cache; cheap to construct.
+/// [`SolverStats`] and the memoizing query cache (its search buffers are
+/// reused, but every search resets what it reads); cheap to construct.
 ///
 /// The cache is shared between a solver and its [`Solver::fork`]s: workers
 /// of a parallel phase serve each other's repeated queries through one
@@ -439,6 +443,8 @@ pub struct Solver {
     /// assumes every query of one solver names its variables in one pool
     /// lineage. Forks start empty.
     fleet_domains: Option<(Domains, u64)>,
+    /// The search buffers, reused by every query of this solver.
+    scratch: Scratch,
     obs: SolverObs,
 }
 
@@ -470,6 +476,7 @@ impl Solver {
             digests: TermDigests::default(),
             fleet,
             fleet_domains: None,
+            scratch: Scratch::default(),
             obs: SolverObs::default(),
         }
     }
@@ -506,6 +513,9 @@ impl Solver {
             // those keys, so mid-phase visibility cannot skew a verdict.
             fleet: self.fleet.clone(),
             fleet_domains: None,
+            // Each worker grows its own buffers: they carry no state
+            // between queries, and sharing them would serialize workers.
+            scratch: Scratch::default(),
             // Shared cells: worker increments land directly in the same
             // totals, so absorb() has nothing to merge for metrics either.
             obs: self.obs.clone(),
@@ -648,7 +658,7 @@ impl Solver {
         // fleet-cached verdict from another process stand in for a local
         // search bit-for-bit.
         self.digests.sync(pool);
-        let live = self.digests.sort_by_content(pool, &key.0);
+        let live = self.digests.sort_by_content(&key.0);
         let max_nodes = self.config.max_nodes;
         let result = match self.fleet.clone() {
             None => self.search(pool, &live, domains, max_nodes),
@@ -735,7 +745,7 @@ impl Solver {
     ) -> SatResult {
         let (mut search, mut root) = self.start_search(pool, live, domains, budget);
         let result = search.sat(&mut root, true);
-        self.stats.nodes += search.nodes;
+        self.finish_search(search, root);
         result
     }
 
@@ -774,8 +784,10 @@ impl Solver {
                 for (name, value) in &named {
                     model.set(pool.find_var(name)?, *value);
                 }
-                let vars = self.query_vars(live);
-                if !vars.iter().all(|&v| model.get(v).is_some()) {
+                let covers_query = live
+                    .iter()
+                    .all(|&c| self.deps.vars_of(c).iter().all(|&v| model.get(v).is_some()));
+                if !covers_query {
                     return None;
                 }
                 if !model.satisfies(pool, live) {
@@ -784,21 +796,6 @@ impl Solver {
                 Some(SatResult::Sat(model))
             }
         }
-    }
-
-    /// Collects the variables of a query in first-occurrence order through
-    /// the dependency graph, which must cover every constraint
-    /// ([`DepGraph::sync`] first).
-    fn query_vars(&self, live: &[TermId]) -> Vec<VarId> {
-        let mut vars: Vec<VarId> = Vec::new();
-        for &c in live {
-            for &v in self.deps.vars_of(c) {
-                if !vars.contains(&v) {
-                    vars.push(v);
-                }
-            }
-        }
-        vars
     }
 
     /// Counts the models of the conjunction over all variables occurring in
@@ -823,7 +820,7 @@ impl Solver {
         let (mut search, mut root) = self.start_search(pool, &live, domains, self.config.max_nodes);
         let mut bounds = CountBounds { lo: 0, hi: 0 };
         search.count(&mut root, &mut bounds);
-        self.stats.nodes += search.nodes;
+        self.finish_search(search, root);
         bounds
     }
 
@@ -843,7 +840,10 @@ impl Solver {
     }
 
     /// Sets up a branch-and-prune search over `live` with a node budget of
-    /// `budget` (the dependency graph synced here) and its root node.
+    /// `budget` (the dependency graph synced here) and its root node, in
+    /// the solver's scratch buffers: the box layout and the slot table are
+    /// refilled, and the root's box, stamps and records are reset, so no
+    /// state of an earlier query reaches this one.
     fn start_search<'q>(
         &mut self,
         pool: &'q TermPool,
@@ -852,32 +852,88 @@ impl Solver {
         budget: u64,
     ) -> (Search<'q>, Node) {
         self.deps.sync(pool);
-        let vars = self.query_vars(live);
-        let vbox = VarBox::new(pool, &vars, domains, self.config.default_domain);
-        let mut slots: Vec<u32> = Vec::new();
-        let mut offsets: Vec<u32> = Vec::with_capacity(live.len() + 1);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let Scratch {
+            layout,
+            slots,
+            offsets,
+            root,
+            ..
+        } = &mut scratch;
+        layout.clear();
+        slots.clear();
+        offsets.clear();
         offsets.push(0);
         for &c in live {
-            slots.extend(self.deps.vars_of(c).iter().map(|&v| vbox.slot(v) as u32));
+            slots.extend(
+                self.deps
+                    .vars_of(c)
+                    .iter()
+                    .map(|&v| layout.insert(v) as u32),
+            );
             offsets.push(slots.len() as u32);
         }
-        let root = Node {
-            vbox,
-            revised: vec![0; live.len()],
-            enclosed: vec![(0, Bool3::Unknown); live.len()],
-        };
+        root.vbox
+            .reset(pool, layout, domains, self.config.default_domain);
+        root.revised.clear();
+        root.revised.resize(live.len(), 0);
+        root.enclosed.clear();
+        root.enclosed.resize(live.len(), (0, Bool3::Unknown));
+        let root = std::mem::take(root);
         let search = Search {
             pool,
             constraints: live,
-            slots,
-            offsets,
+            scratch,
             max_rounds: self.config.max_contraction_rounds,
             budget,
             nodes: 0,
-            spare_nodes: Vec::new(),
-            spare_boxes: Vec::new(),
+            zone_checks: 0,
+            zone_refuted: 0,
         };
         (search, root)
+    }
+
+    /// Counts a finished search and takes its buffers back.
+    fn finish_search(&mut self, search: Search<'_>, root: Node) {
+        self.stats.nodes += search.nodes;
+        if search.zone_checks > 0 {
+            self.obs.zone_checks.add(search.zone_checks);
+            self.obs.zone_refuted.add(search.zone_refuted);
+        }
+        self.scratch = search.scratch;
+        self.scratch.root = root;
+    }
+}
+
+/// The buffers of a search, kept by the solver between queries so that a
+/// query's setup allocates nothing once they have grown: the box layout,
+/// the per-constraint slot table, the root node, the recycled node and
+/// disjunction-box stacks, and the zone pass's graph. Every search
+/// refills or overwrites what it reads before reading it.
+#[derive(Debug, Default)]
+struct Scratch {
+    layout: BoxLayout,
+    /// Constraint `i` reads slots `slots[offsets[i]..offsets[i + 1]]`, in
+    /// [`DepGraph`] first-occurrence order.
+    slots: Vec<u32>,
+    offsets: Vec<u32>,
+    /// Moved out into the running search and back when it finishes.
+    root: Node,
+    spare_nodes: Vec<Node>,
+    spare_boxes: Vec<VarBox>,
+    zone: ZoneScratch,
+}
+
+impl Clone for Scratch {
+    /// A clone starts empty: the buffers carry nothing between queries.
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl Scratch {
+    fn slots_of(&self, i: usize) -> &[u32] {
+        &self.slots[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
@@ -885,7 +941,7 @@ impl Solver {
 /// last revise began and when its last enclosure ran (with the result).
 /// `0` means "never". A child inherits its parent's records, so after the
 /// branch variable is set only the constraints over it run again.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Node {
     vbox: VarBox,
     revised: Vec<u64>,
@@ -919,28 +975,22 @@ enum Step {
 }
 
 /// One branch-and-prune (or branch-and-count) search: the query's
-/// constraints with the box slots each one reads, the node budget, and the
-/// recycled node and disjunction-box stacks that keep node steps free of
-/// allocation.
+/// constraints, the solver's scratch buffers (layout, the box slots each
+/// constraint reads, and the recycled node and disjunction-box stacks that
+/// keep node steps free of allocation), the node budget, and the zone pass
+/// tallies mirrored into the metrics when the search finishes.
 struct Search<'q> {
     pool: &'q TermPool,
     constraints: &'q [TermId],
-    /// Constraint `i` reads slots `slots[offsets[i]..offsets[i + 1]]`, in
-    /// [`DepGraph`] first-occurrence order.
-    slots: Vec<u32>,
-    offsets: Vec<u32>,
+    scratch: Scratch,
     max_rounds: u32,
     budget: u64,
     nodes: u64,
-    spare_nodes: Vec<Node>,
-    spare_boxes: Vec<VarBox>,
+    zone_checks: u64,
+    zone_refuted: u64,
 }
 
 impl Search<'_> {
-    fn slots_of(&self, i: usize) -> &[u32] {
-        &self.slots[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
     /// The node step shared by `sat` and `count`: HC4 contraction to a
     /// fixpoint (at most `max_rounds` rounds), then the three-valued
     /// enclosure of every constraint. A revise or enclosure reads only its
@@ -955,14 +1005,19 @@ impl Search<'_> {
             revised,
             enclosed,
         } = node;
+        let scratch = &mut self.scratch;
+        let cx = Ctx {
+            pool: self.pool,
+            layout: &scratch.layout,
+        };
         for _ in 0..self.max_rounds {
             let round_start = vbox.clock;
             for (i, &c) in self.constraints.iter().enumerate() {
-                if !vbox.changed_since(self.slots_of(i), revised[i]) {
+                if !vbox.changed_since(scratch.slots_of(i), revised[i]) {
                     continue;
                 }
                 revised[i] = vbox.clock;
-                if contract_bool(self.pool, c, true, vbox, &mut self.spare_boxes).is_err() {
+                if contract_bool(cx, c, true, vbox, &mut scratch.spare_boxes).is_err() {
                     return Step::Refuted;
                 }
             }
@@ -973,8 +1028,8 @@ impl Search<'_> {
         let mut open = None;
         for (i, &c) in self.constraints.iter().enumerate() {
             let (at, last) = enclosed[i];
-            let truth = if vbox.changed_since(self.slots_of(i), at) {
-                let truth = enclose_bool(self.pool, c, vbox);
+            let truth = if vbox.changed_since(scratch.slots_of(i), at) {
+                let truth = enclose_bool(cx, c, vbox);
                 enclosed[i] = (vbox.clock, truth);
                 truth
             } else {
@@ -1025,10 +1080,10 @@ impl Search<'_> {
                 visit(self, node);
                 return;
             }
-            let mut sub = recycled_copy(node, &mut self.spare_nodes);
+            let mut sub = recycled_copy(node, &mut self.scratch.spare_nodes);
             sub.vbox.set_slot(slot, child);
             let stop = visit(self, &mut sub);
-            self.spare_nodes.push(sub);
+            self.scratch.spare_nodes.push(sub);
             if stop {
                 return;
             }
@@ -1043,7 +1098,7 @@ impl Search<'_> {
         let open = match self.step(node) {
             Step::Refuted => return SatResult::Unsat,
             // Every assignment in the box satisfies the constraints.
-            Step::Decided => return SatResult::Sat(node.vbox.midpoint_model()),
+            Step::Decided => return SatResult::Sat(node.vbox.midpoint_model(&self.scratch.layout)),
             Step::Open(i) => i,
         };
         // Relational pass, at the root only: a negative cycle in the
@@ -1051,14 +1106,23 @@ impl Search<'_> {
         // `x < y ∧ y < x`-shaped conjunctions the per-variable interval
         // contraction above cannot see. Root-only keeps the cost to one
         // Bellman–Ford scan per query.
-        if root && zone::zone_refute(self.pool, self.constraints, &node.vbox).is_some() {
-            return SatResult::Unsat;
+        if root {
+            let cx = Ctx {
+                pool: self.pool,
+                layout: &self.scratch.layout,
+            };
+            self.zone_checks += 1;
+            let zone = &mut self.scratch.zone;
+            if zone::zone_refute(cx, self.constraints, &node.vbox, zone).is_some() {
+                self.zone_refuted += 1;
+                return SatResult::Unsat;
+            }
         }
         // Branch on a variable of the first open constraint.
-        let Some(slot) = narrowest_open_slot(self.slots_of(open), &node.vbox) else {
+        let Some(slot) = narrowest_open_slot(self.scratch.slots_of(open), &node.vbox) else {
             // All variables are points yet a constraint is unknown: can only
             // happen through enclosure looseness; fall back to concrete check.
-            let m = node.vbox.midpoint_model();
+            let m = node.vbox.midpoint_model(&self.scratch.layout);
             return if m.satisfies(self.pool, self.constraints) {
                 SatResult::Sat(m)
             } else {
@@ -1106,9 +1170,9 @@ impl Search<'_> {
             }
             Step::Open(i) => i,
         };
-        let Some(slot) = narrowest_open_slot(self.slots_of(open), &node.vbox) else {
+        let Some(slot) = narrowest_open_slot(self.scratch.slots_of(open), &node.vbox) else {
             // Point box with undecidable enclosure: concrete check.
-            let m = node.vbox.midpoint_model();
+            let m = node.vbox.midpoint_model(&self.scratch.layout);
             if m.satisfies(self.pool, self.constraints) {
                 bounds.lo = bounds.lo.saturating_add(1);
                 bounds.hi = bounds.hi.saturating_add(1);
@@ -1182,28 +1246,88 @@ impl Bool3 {
 }
 
 /// The part of a variable box shared by every box of one query: the
-/// variables in slot order and a small sorted `(variable, slot)` table for
-/// lookup by binary search. Slot order is first-occurrence order of the
-/// query's constraints — semantically irrelevant (contraction is per
-/// variable, models are emitted through a sorted map) but kept stable
-/// anyway.
-#[derive(Debug)]
-struct BoxLayout {
+/// variables in slot order and, indexed by variable, each one's slot. Slot
+/// order is first-occurrence order of the query's constraints —
+/// semantically irrelevant (contraction is per variable, models are
+/// emitted through a sorted map) but kept stable anyway. A layout lives in
+/// the solver's scratch and is refilled per query; [`BoxLayout::clear`]
+/// resets only the entries of the previous query's variables, so neither
+/// step allocates once the table has grown to the pool's variables.
+#[derive(Debug, Default)]
+pub(crate) struct BoxLayout {
     vars: Vec<VarId>,
-    lookup: Vec<(VarId, u32)>,
+    /// `slot_of[v.index()]` is the slot of `v`, or [`NO_SLOT`].
+    slot_of: Vec<u32>,
 }
 
-/// The current variable box: one interval per variable in the query.
-/// Boolean variables are encoded as `[0, 1]` intervals.
+/// The `slot_of` entry of a variable outside the layout.
+const NO_SLOT: u32 = u32::MAX;
+
+impl BoxLayout {
+    /// Empties the layout.
+    pub(crate) fn clear(&mut self) {
+        for v in self.vars.drain(..) {
+            self.slot_of[v.index()] = NO_SLOT;
+        }
+    }
+
+    /// The slot of `v`, appending `v` as the next slot if it is new.
+    pub(crate) fn insert(&mut self, v: VarId) -> usize {
+        let i = v.index();
+        if i >= self.slot_of.len() {
+            self.slot_of.resize(i + 1, NO_SLOT);
+        }
+        if self.slot_of[i] == NO_SLOT {
+            self.slot_of[i] = self.vars.len() as u32;
+            self.vars.push(v);
+        }
+        self.slot_of[i] as usize
+    }
+
+    /// The slot of `v`, if it is in the layout.
+    pub(crate) fn slot_index(&self, v: VarId) -> Option<usize> {
+        match self.slot_of.get(v.index()) {
+            Some(&s) if s != NO_SLOT => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    fn slot(&self, v: VarId) -> usize {
+        self.slot_index(v).expect("variable not in box")
+    }
+
+    /// The variables in slot order (the deterministic iteration order the
+    /// zone pass derives its bound edges in).
+    pub(crate) fn vars(&self) -> &[VarId] {
+        &self.vars
+    }
+}
+
+/// What every box operation of a query reads besides the box itself: the
+/// term pool and the query's [`BoxLayout`].
+#[derive(Clone, Copy)]
+pub(crate) struct Ctx<'q> {
+    pub(crate) pool: &'q TermPool,
+    pub(crate) layout: &'q BoxLayout,
+}
+
+impl Ctx<'_> {
+    /// The interval of variable `v` in `vbox`.
+    pub(crate) fn get(self, vbox: &VarBox, v: VarId) -> Interval {
+        vbox.ivs[self.layout.slot(v)]
+    }
+}
+
+/// The current variable box: one interval per slot of the query's
+/// [`BoxLayout`]. Boolean variables are encoded as `[0, 1]` intervals.
 ///
 /// The box keeps a change clock: every change to a slot (through `narrow`,
 /// `set_slot`, `copy_from` or `hull_of`) advances the clock and stamps the
 /// slot with it, so "has any of these slots changed since clock `t`?" is a
-/// scan of a few stamps. The layout is shared (`Rc`) by every box of a
-/// query, so cloning a box copies only intervals and stamps.
-#[derive(Debug)]
+/// scan of a few stamps. The layout is kept apart, once per query, so
+/// copying a box copies only intervals and stamps.
+#[derive(Debug, Default)]
 pub(crate) struct VarBox {
-    layout: Rc<BoxLayout>,
     ivs: Vec<Interval>,
     stamps: Vec<u64>,
     clock: u64,
@@ -1212,7 +1336,6 @@ pub(crate) struct VarBox {
 impl Clone for VarBox {
     fn clone(&self) -> Self {
         VarBox {
-            layout: Rc::clone(&self.layout),
             ivs: self.ivs.clone(),
             stamps: self.stamps.clone(),
             clock: self.clock,
@@ -1222,7 +1345,6 @@ impl Clone for VarBox {
     /// Reuses `self`'s buffers: the search recycles boxes, so copying one
     /// into another allocates nothing.
     fn clone_from(&mut self, other: &Self) {
-        self.layout.clone_from(&other.layout);
         self.ivs.clone_from(&other.ivs);
         self.stamps.clone_from(&other.stamps);
         self.clock = other.clock;
@@ -1230,62 +1352,36 @@ impl Clone for VarBox {
 }
 
 impl VarBox {
-    /// A box over `vars` (slot order) at their initial domains. The clock
-    /// starts at 1 and every stamp at 0, so clock value 0 can stand for
-    /// "never" in the node records that compare against stamps.
-    pub(crate) fn new(
+    /// Refills the box with the initial domains of `layout`'s variables.
+    /// The clock restarts at 1 and every stamp at 0, so clock value 0 can
+    /// stand for "never" in the node records that compare against stamps.
+    pub(crate) fn reset(
+        &mut self,
         pool: &TermPool,
-        vars: &[VarId],
+        layout: &BoxLayout,
         domains: &Domains,
         default: Interval,
-    ) -> Self {
-        let ivs = vars
-            .iter()
-            .map(|&v| initial_interval(pool, v, domains, default))
-            .collect();
-        let mut lookup: Vec<(VarId, u32)> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i as u32))
-            .collect();
-        lookup.sort_unstable_by_key(|e| e.0);
-        VarBox {
-            layout: Rc::new(BoxLayout {
-                vars: vars.to_vec(),
-                lookup,
-            }),
-            ivs,
-            stamps: vec![0; vars.len()],
-            clock: 1,
-        }
+    ) {
+        self.ivs.clear();
+        self.ivs.extend(
+            layout
+                .vars
+                .iter()
+                .map(|&v| initial_interval(pool, v, domains, default)),
+        );
+        self.stamps.clear();
+        self.stamps.resize(self.ivs.len(), 0);
+        self.clock = 1;
     }
 
-    fn slot(&self, v: VarId) -> usize {
-        self.slot_index(v).expect("variable not in box")
-    }
-
-    /// The slot of `v`, if it is in the box.
-    pub(crate) fn slot_index(&self, v: VarId) -> Option<usize> {
-        let lookup = &self.layout.lookup;
-        lookup
-            .binary_search_by_key(&v, |e| e.0)
-            .ok()
-            .map(|i| lookup[i].1 as usize)
-    }
-
-    /// Number of variables in the box.
+    /// Number of slots.
     pub(crate) fn len(&self) -> usize {
         self.ivs.len()
     }
 
-    /// The variables of the box, in slot order (the deterministic
-    /// iteration order the zone pass derives its bound edges in).
-    pub(crate) fn vars(&self) -> &[VarId] {
-        &self.layout.vars
-    }
-
-    pub(crate) fn get(&self, v: VarId) -> Interval {
-        self.ivs[self.slot(v)]
+    /// The interval of slot `i`.
+    pub(crate) fn at(&self, i: usize) -> Interval {
+        self.ivs[i]
     }
 
     /// Whether any of `slots` changed after clock value `since`; always
@@ -1307,9 +1403,8 @@ impl VarBox {
         }
     }
 
-    /// Narrows the domain of `v` to its intersection with `iv`.
-    fn narrow(&mut self, v: VarId, iv: Interval) -> Result<(), EmptyDomain> {
-        let i = self.slot(v);
+    /// Narrows the domain of slot `i` to its intersection with `iv`.
+    fn narrow(&mut self, i: usize, iv: Interval) -> Result<(), EmptyDomain> {
         let cur = self.ivs[i];
         match cur.intersect(iv) {
             Some(n) => {
@@ -1344,9 +1439,9 @@ impl VarBox {
             .fold(1u128, |acc, iv| acc.saturating_mul(iv.width() as u128))
     }
 
-    fn midpoint_model(&self) -> Model {
+    fn midpoint_model(&self, layout: &BoxLayout) -> Model {
         let mut m = Model::new();
-        for (i, &v) in self.layout.vars.iter().enumerate() {
+        for (i, &v) in layout.vars.iter().enumerate() {
             m.set(v, self.ivs[i].midpoint());
         }
         m
@@ -1365,16 +1460,16 @@ fn initial_interval(pool: &TermPool, v: VarId, domains: &Domains, default: Inter
 }
 
 /// Forward evaluation: an interval enclosure of an integer term.
-fn enclose_int(pool: &TermPool, t: TermId, vbox: &VarBox) -> Interval {
-    match pool.data(t) {
+fn enclose_int(cx: Ctx<'_>, t: TermId, vbox: &VarBox) -> Interval {
+    match cx.pool.data(t) {
         TermData::IntConst(v) => Interval::point(v),
-        TermData::Var(v) => vbox.get(v),
+        TermData::Var(v) => cx.get(vbox, v),
         // Hash-consing makes a repeated operand the same term, so `t * t`
         // encloses as a square (`z*z` over [-k, k] is [0, k²], not [-k², k²]).
-        TermData::Arith(ArithOp::Mul, a, b) if a == b => enclose_int(pool, a, vbox).sqr(),
+        TermData::Arith(ArithOp::Mul, a, b) if a == b => enclose_int(cx, a, vbox).sqr(),
         TermData::Arith(op, a, b) => {
-            let ia = enclose_int(pool, a, vbox);
-            let ib = enclose_int(pool, b, vbox);
+            let ia = enclose_int(cx, a, vbox);
+            let ib = enclose_int(cx, b, vbox);
             match op {
                 ArithOp::Add => ia.add(ib),
                 ArithOp::Sub => ia.sub(ib),
@@ -1383,11 +1478,11 @@ fn enclose_int(pool: &TermPool, t: TermId, vbox: &VarBox) -> Interval {
                 ArithOp::Rem => ia.rem_total(ib),
             }
         }
-        TermData::Neg(a) => enclose_int(pool, a, vbox).neg(),
-        TermData::Ite(c, a, b) => match enclose_bool(pool, c, vbox) {
-            Bool3::True => enclose_int(pool, a, vbox),
-            Bool3::False => enclose_int(pool, b, vbox),
-            Bool3::Unknown => enclose_int(pool, a, vbox).hull(enclose_int(pool, b, vbox)),
+        TermData::Neg(a) => enclose_int(cx, a, vbox).neg(),
+        TermData::Ite(c, a, b) => match enclose_bool(cx, c, vbox) {
+            Bool3::True => enclose_int(cx, a, vbox),
+            Bool3::False => enclose_int(cx, b, vbox),
+            Bool3::Unknown => enclose_int(cx, a, vbox).hull(enclose_int(cx, b, vbox)),
         },
         // Ill-sorted; treat as zero (cannot happen for well-typed queries).
         _ => Interval::point(0),
@@ -1395,12 +1490,12 @@ fn enclose_int(pool: &TermPool, t: TermId, vbox: &VarBox) -> Interval {
 }
 
 /// Forward evaluation: three-valued truth of a boolean term.
-fn enclose_bool(pool: &TermPool, t: TermId, vbox: &VarBox) -> Bool3 {
-    match pool.data(t) {
+fn enclose_bool(cx: Ctx<'_>, t: TermId, vbox: &VarBox) -> Bool3 {
+    match cx.pool.data(t) {
         TermData::BoolConst(true) => Bool3::True,
         TermData::BoolConst(false) => Bool3::False,
         TermData::Var(v) => {
-            let iv = vbox.get(v);
+            let iv = cx.get(vbox, v);
             if iv.is_point() {
                 if iv.lo() == 0 {
                     Bool3::False
@@ -1411,12 +1506,12 @@ fn enclose_bool(pool: &TermPool, t: TermId, vbox: &VarBox) -> Bool3 {
                 Bool3::Unknown
             }
         }
-        TermData::Not(a) => enclose_bool(pool, a, vbox).not(),
-        TermData::And(a, b) => enclose_bool(pool, a, vbox).and(enclose_bool(pool, b, vbox)),
-        TermData::Or(a, b) => enclose_bool(pool, a, vbox).or(enclose_bool(pool, b, vbox)),
+        TermData::Not(a) => enclose_bool(cx, a, vbox).not(),
+        TermData::And(a, b) => enclose_bool(cx, a, vbox).and(enclose_bool(cx, b, vbox)),
+        TermData::Or(a, b) => enclose_bool(cx, a, vbox).or(enclose_bool(cx, b, vbox)),
         TermData::Cmp(op, a, b) => {
-            let ia = enclose_int(pool, a, vbox);
-            let ib = enclose_int(pool, b, vbox);
+            let ia = enclose_int(cx, a, vbox);
+            let ib = enclose_int(cx, b, vbox);
             cmp_enclosures(op, ia, ib)
         }
         _ => Bool3::Unknown,
@@ -1464,13 +1559,13 @@ fn cmp_enclosures(op: CmpOp, a: Interval, b: Interval) -> Bool3 {
 /// alone — the fact the stamped search node relies on. `spare` recycles the
 /// working boxes of disjunctions.
 fn contract_bool(
-    pool: &TermPool,
+    cx: Ctx<'_>,
     t: TermId,
     required: bool,
     vbox: &mut VarBox,
     spare: &mut Vec<VarBox>,
 ) -> Result<(), EmptyDomain> {
-    match pool.data(t) {
+    match cx.pool.data(t) {
         TermData::BoolConst(b) => {
             if b == required {
                 Ok(())
@@ -1480,28 +1575,28 @@ fn contract_bool(
         }
         TermData::Var(v) => {
             let target = if required { 1 } else { 0 };
-            vbox.narrow(v, Interval::point(target))
+            vbox.narrow(cx.layout.slot(v), Interval::point(target))
         }
-        TermData::Not(a) => contract_bool(pool, a, !required, vbox, spare),
+        TermData::Not(a) => contract_bool(cx, a, !required, vbox, spare),
         TermData::And(a, b) => {
             if required {
-                contract_bool(pool, a, true, vbox, spare)?;
-                contract_bool(pool, b, true, vbox, spare)
+                contract_bool(cx, a, true, vbox, spare)?;
+                contract_bool(cx, b, true, vbox, spare)
             } else {
-                contract_binary_disjunct(pool, (a, false), (b, false), vbox, spare)
+                contract_binary_disjunct(cx, (a, false), (b, false), vbox, spare)
             }
         }
         TermData::Or(a, b) => {
             if required {
-                contract_binary_disjunct(pool, (a, true), (b, true), vbox, spare)
+                contract_binary_disjunct(cx, (a, true), (b, true), vbox, spare)
             } else {
-                contract_bool(pool, a, false, vbox, spare)?;
-                contract_bool(pool, b, false, vbox, spare)
+                contract_bool(cx, a, false, vbox, spare)?;
+                contract_bool(cx, b, false, vbox, spare)
             }
         }
         TermData::Cmp(op, a, b) => {
             let eff = if required { op } else { op.negate() };
-            contract_cmp(pool, eff, a, b, vbox, spare)
+            contract_cmp(cx, eff, a, b, vbox, spare)
         }
         // Ill-sorted boolean position; no contraction.
         _ => Ok(()),
@@ -1514,16 +1609,16 @@ fn contract_bool(
 /// recycled boxes, and go back onto it, so a search allocates working
 /// boxes only up to its deepest nesting of disjunctions, once.
 fn contract_binary_disjunct(
-    pool: &TermPool,
+    cx: Ctx<'_>,
     (a, ra): (TermId, bool),
     (b, rb): (TermId, bool),
     vbox: &mut VarBox,
     spare: &mut Vec<VarBox>,
 ) -> Result<(), EmptyDomain> {
     let mut box_a = recycled_copy(vbox, spare);
-    let ok_a = contract_bool(pool, a, ra, &mut box_a, spare).is_ok();
+    let ok_a = contract_bool(cx, a, ra, &mut box_a, spare).is_ok();
     let mut box_b = recycled_copy(vbox, spare);
-    let ok_b = contract_bool(pool, b, rb, &mut box_b, spare).is_ok();
+    let ok_b = contract_bool(cx, b, rb, &mut box_b, spare).is_ok();
     let result = match (ok_a, ok_b) {
         (false, false) => Err(EmptyDomain),
         (true, false) => {
@@ -1558,20 +1653,20 @@ fn recycled_copy<T: Clone>(of: &T, spare: &mut Vec<T>) -> T {
 
 /// HC4-revise for a comparison atom.
 fn contract_cmp(
-    pool: &TermPool,
+    cx: Ctx<'_>,
     op: CmpOp,
     a: TermId,
     b: TermId,
     vbox: &mut VarBox,
     spare: &mut Vec<VarBox>,
 ) -> Result<(), EmptyDomain> {
-    let ia = enclose_int(pool, a, vbox);
-    let ib = enclose_int(pool, b, vbox);
+    let ia = enclose_int(cx, a, vbox);
+    let ib = enclose_int(cx, b, vbox);
     match op {
         CmpOp::Eq => {
             let meet = ia.intersect(ib).ok_or(EmptyDomain)?;
-            push_int(pool, a, meet, vbox, spare)?;
-            push_int(pool, b, meet, vbox, spare)
+            push_int(cx, a, meet, vbox, spare)?;
+            push_int(cx, b, meet, vbox, spare)
         }
         CmpOp::Ne => {
             if ia.is_point() && ib.is_point() && ia.lo() == ib.lo() {
@@ -1579,14 +1674,14 @@ fn contract_cmp(
             }
             if ib.is_point() {
                 if let Some(na) = ia.remove_endpoint(ib.lo()) {
-                    push_int(pool, a, na, vbox, spare)?;
+                    push_int(cx, a, na, vbox, spare)?;
                 } else {
                     return Err(EmptyDomain);
                 }
             }
             if ia.is_point() {
                 if let Some(nb) = ib.remove_endpoint(ia.lo()) {
-                    push_int(pool, b, nb, vbox, spare)?;
+                    push_int(cx, b, nb, vbox, spare)?;
                 } else {
                     return Err(EmptyDomain);
                 }
@@ -1596,30 +1691,30 @@ fn contract_cmp(
         CmpOp::Lt => {
             let na = ia.below_strict(ib).ok_or(EmptyDomain)?;
             let nb = ib.above_strict(ia).ok_or(EmptyDomain)?;
-            push_int(pool, a, na, vbox, spare)?;
-            push_int(pool, b, nb, vbox, spare)
+            push_int(cx, a, na, vbox, spare)?;
+            push_int(cx, b, nb, vbox, spare)
         }
         CmpOp::Le => {
             let na = ia.below(ib).ok_or(EmptyDomain)?;
             let nb = ib.above(ia).ok_or(EmptyDomain)?;
-            push_int(pool, a, na, vbox, spare)?;
-            push_int(pool, b, nb, vbox, spare)
+            push_int(cx, a, na, vbox, spare)?;
+            push_int(cx, b, nb, vbox, spare)
         }
-        CmpOp::Gt => contract_cmp(pool, CmpOp::Lt, b, a, vbox, spare),
-        CmpOp::Ge => contract_cmp(pool, CmpOp::Le, b, a, vbox, spare),
+        CmpOp::Gt => contract_cmp(cx, CmpOp::Lt, b, a, vbox, spare),
+        CmpOp::Ge => contract_cmp(cx, CmpOp::Le, b, a, vbox, spare),
     }
 }
 
 /// Backward pass: require the integer term `t` to take a value inside `iv`,
 /// narrowing variable domains.
 fn push_int(
-    pool: &TermPool,
+    cx: Ctx<'_>,
     t: TermId,
     iv: Interval,
     vbox: &mut VarBox,
     spare: &mut Vec<VarBox>,
 ) -> Result<(), EmptyDomain> {
-    match pool.data(t) {
+    match cx.pool.data(t) {
         TermData::IntConst(v) => {
             if iv.contains(v) {
                 Ok(())
@@ -1627,32 +1722,32 @@ fn push_int(
                 Err(EmptyDomain)
             }
         }
-        TermData::Var(v) => vbox.narrow(v, iv),
-        TermData::Neg(a) => push_int(pool, a, iv.neg(), vbox, spare),
+        TermData::Var(v) => vbox.narrow(cx.layout.slot(v), iv),
+        TermData::Neg(a) => push_int(cx, a, iv.neg(), vbox, spare),
         TermData::Arith(op, a, b) => {
-            let ia = enclose_int(pool, a, vbox);
-            let ib = enclose_int(pool, b, vbox);
+            let ia = enclose_int(cx, a, vbox);
+            let ib = enclose_int(cx, b, vbox);
             match op {
                 ArithOp::Add => {
                     let na = Interval::back_add(iv, ib, ia).ok_or(EmptyDomain)?;
                     let nb = Interval::back_add(iv, ia, ib).ok_or(EmptyDomain)?;
-                    push_int(pool, a, na, vbox, spare)?;
-                    push_int(pool, b, nb, vbox, spare)
+                    push_int(cx, a, na, vbox, spare)?;
+                    push_int(cx, b, nb, vbox, spare)
                 }
                 ArithOp::Sub => {
                     let na = Interval::back_sub_lhs(iv, ib, ia).ok_or(EmptyDomain)?;
                     let nb = Interval::back_sub_rhs(iv, ia, ib).ok_or(EmptyDomain)?;
-                    push_int(pool, a, na, vbox, spare)?;
-                    push_int(pool, b, nb, vbox, spare)
+                    push_int(cx, a, na, vbox, spare)?;
+                    push_int(cx, b, nb, vbox, spare)
                 }
                 ArithOp::Mul => {
                     if let Some(na) = Interval::back_mul(iv, ib, ia) {
-                        push_int(pool, a, na, vbox, spare)?;
+                        push_int(cx, a, na, vbox, spare)?;
                     } else {
                         return Err(EmptyDomain);
                     }
                     if let Some(nb) = Interval::back_mul(iv, ia, ib) {
-                        push_int(pool, b, nb, vbox, spare)
+                        push_int(cx, b, nb, vbox, spare)
                     } else {
                         Err(EmptyDomain)
                     }
@@ -1661,21 +1756,21 @@ fn push_int(
                 ArithOp::Div | ArithOp::Rem => Ok(()),
             }
         }
-        TermData::Ite(c, a, b) => match enclose_bool(pool, c, vbox) {
-            Bool3::True => push_int(pool, a, iv, vbox, spare),
-            Bool3::False => push_int(pool, b, iv, vbox, spare),
+        TermData::Ite(c, a, b) => match enclose_bool(cx, c, vbox) {
+            Bool3::True => push_int(cx, a, iv, vbox, spare),
+            Bool3::False => push_int(cx, b, iv, vbox, spare),
             Bool3::Unknown => {
-                let ia = enclose_int(pool, a, vbox);
-                let ib = enclose_int(pool, b, vbox);
+                let ia = enclose_int(cx, a, vbox);
+                let ib = enclose_int(cx, b, vbox);
                 match (ia.intersect(iv), ib.intersect(iv)) {
                     (None, None) => Err(EmptyDomain),
                     (Some(_), None) => {
-                        contract_bool(pool, c, true, vbox, spare)?;
-                        push_int(pool, a, iv, vbox, spare)
+                        contract_bool(cx, c, true, vbox, spare)?;
+                        push_int(cx, a, iv, vbox, spare)
                     }
                     (None, Some(_)) => {
-                        contract_bool(pool, c, false, vbox, spare)?;
-                        push_int(pool, b, iv, vbox, spare)
+                        contract_bool(cx, c, false, vbox, spare)?;
+                        push_int(cx, b, iv, vbox, spare)
                     }
                     (Some(_), Some(_)) => Ok(()),
                 }
@@ -1915,7 +2010,12 @@ mod tests {
         d.bound(vars[2], -3, 3); // width 7
         d.bound(vars[3], 10, 16); // width 7 too
         d.bound(vars[4], 0, 1); // width 2: the narrowest still open
-        let vbox = VarBox::new(&p, &vars, &d, Interval::of(-10, 10));
+        let mut layout = BoxLayout::default();
+        for &v in &vars {
+            layout.insert(v);
+        }
+        let mut vbox = VarBox::default();
+        vbox.reset(&p, &layout, &d, Interval::of(-10, 10));
         assert_eq!(narrowest_open_slot(&[0, 1, 2, 3, 4], &vbox), Some(4));
         assert_eq!(narrowest_open_slot(&[0, 1, 2, 3], &vbox), Some(2));
         // Ties go to the slot listed first, not the lower slot.

@@ -298,6 +298,13 @@ impl TermPool {
         }
     }
 
+    /// Interns `data` as is, past the constructors' folding: the shapes a
+    /// decoded pool may hold (e.g. `Neg` of a constant).
+    #[cfg(test)]
+    pub(crate) fn intern_unfolded(&mut self, data: TermData) -> TermId {
+        self.intern(data)
+    }
+
     fn intern(&mut self, data: TermData) -> TermId {
         if let Some(&t) = self.dedup.get(&data) {
             return t;

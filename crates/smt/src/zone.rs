@@ -22,12 +22,13 @@
 //! such constraints simply contribute no edges (the pass is allowed to
 //! under-approximate, never to over-refute).
 
-use crate::solver::VarBox;
-use crate::term::{ArithOp, CmpOp, TermData, TermId, TermPool, VarId};
+use crate::solver::{Ctx, VarBox};
+use crate::term::{ArithOp, CmpOp, TermData, TermId, VarId};
 
 /// One difference constraint `dst - src ≤ weight`, where `None` stands
 /// for the distinguished zero node `Z` (so `src: None` encodes
-/// `dst ≤ weight` and `dst: None` encodes `-src ≤ weight`).
+/// `dst ≤ weight` and `dst: None` encodes `-src ≤ weight`). The pass
+/// reports a refutation as a cycle of these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZoneEdge {
     /// The subtracted variable (`None` = the zero node).
@@ -38,14 +39,35 @@ pub struct ZoneEdge {
     pub weight: i128,
 }
 
+/// An edge of the graph the pass scans, `dst - src ≤ weight`, over node
+/// indices: node 0 is the zero node `Z` and node `s + 1` is box slot `s`,
+/// so the relaxation passes index their arrays directly.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    src: u32,
+    dst: u32,
+    weight: i128,
+}
+
+/// The zone pass's buffers, kept in the solver's search scratch so a pass
+/// allocates nothing once they have grown. Every pass overwrites them.
+#[derive(Debug, Default)]
+pub(crate) struct ZoneScratch {
+    edges: Vec<Edge>,
+    /// Bellman–Ford distance and predecessor edge per node.
+    dist: Vec<i128>,
+    pred: Vec<Option<u32>>,
+}
+
 /// A partially-normalized linear view of an integer term: `±pos ∓ neg + k`
-/// with at most one variable on each side, plus the exact `i128` range of
-/// the term under the current box. `lo`/`hi` are exact (never clamped);
-/// the saturation guard checks them against `i64` at every node.
+/// with at most one variable on each side (as graph node indices), plus
+/// the exact `i128` range of the term under the current box. `lo`/`hi` are
+/// exact (never clamped); the saturation guard checks them against `i64`
+/// at every node.
 #[derive(Debug, Clone, Copy)]
 struct Lin {
-    pos: Option<VarId>,
-    neg: Option<VarId>,
+    pos: Option<u32>,
+    neg: Option<u32>,
     k: i128,
     lo: i128,
     hi: i128,
@@ -80,28 +102,33 @@ impl Lin {
     /// one side and negatively on the other. `None` when the sum needs
     /// more than one variable per sign.
     fn add(self, other: Lin) -> Option<Lin> {
-        let mut pos: Vec<VarId> = [self.pos, other.pos].into_iter().flatten().collect();
-        let mut neg: Vec<VarId> = [self.neg, other.neg].into_iter().flatten().collect();
-        // Cancel `x - x` pairs exactly (sound: the concrete values agree).
-        let mut i = 0;
-        while i < pos.len() {
-            if let Some(j) = neg.iter().position(|&v| v == pos[i]) {
-                pos.remove(i);
-                neg.remove(j);
-            } else {
-                i += 1;
+        let mut pos = [self.pos, other.pos];
+        let mut neg = [self.neg, other.neg];
+        // Cancel `x - x` pairs exactly (sound: the concrete values agree):
+        // each positive occurrence, in order, against the first negative
+        // occurrence of the same variable.
+        for p in pos.iter_mut().filter(|p| p.is_some()) {
+            if let Some(n) = neg.iter_mut().find(|n| **n == *p) {
+                *p = None;
+                *n = None;
             }
         }
-        if pos.len() > 1 || neg.len() > 1 {
-            return None;
-        }
         Some(Lin {
-            pos: pos.first().copied(),
-            neg: neg.first().copied(),
+            pos: one_var(pos)?,
+            neg: one_var(neg)?,
             k: self.k + other.k,
             lo: self.lo + other.lo,
             hi: self.hi + other.hi,
         })
+    }
+}
+
+/// The variable left on one sign of a sum after cancellation (`Some(None)`
+/// for none), or `None` when two remain.
+fn one_var(side: [Option<u32>; 2]) -> Option<Option<u32>> {
+    match side {
+        [Some(_), Some(_)] => None,
+        [a, b] => Some(a.or(b)),
     }
 }
 
@@ -110,28 +137,28 @@ impl Lin {
 /// outside the box, or — the saturation guard — any node's exact range
 /// leaves `i64` (concrete evaluation could then saturate, making the
 /// syntactic decomposition unfaithful).
-fn lin(pool: &TermPool, t: TermId, vbox: &VarBox) -> Option<Lin> {
-    let out = match pool.data(t) {
+fn lin(cx: Ctx<'_>, t: TermId, vbox: &VarBox) -> Option<Lin> {
+    let out = match cx.pool.data(t) {
         TermData::IntConst(v) => Lin::constant(v as i128),
         TermData::Var(v) => {
-            vbox.slot_index(v)?;
-            let iv = vbox.get(v);
+            let slot = cx.layout.slot_index(v)?;
+            let iv = vbox.at(slot);
             Lin {
-                pos: Some(v),
+                pos: Some(slot as u32 + 1),
                 neg: None,
                 k: 0,
                 lo: iv.lo() as i128,
                 hi: iv.hi() as i128,
             }
         }
-        TermData::Neg(a) => lin(pool, a, vbox)?.negated(),
-        TermData::Arith(ArithOp::Add, a, b) => lin(pool, a, vbox)?.add(lin(pool, b, vbox)?)?,
+        TermData::Neg(a) => lin(cx, a, vbox)?.negated(),
+        TermData::Arith(ArithOp::Add, a, b) => lin(cx, a, vbox)?.add(lin(cx, b, vbox)?)?,
         TermData::Arith(ArithOp::Sub, a, b) => {
-            lin(pool, a, vbox)?.add(lin(pool, b, vbox)?.negated())?
+            lin(cx, a, vbox)?.add(lin(cx, b, vbox)?.negated())?
         }
         TermData::Arith(ArithOp::Mul, a, b) => {
-            let la = lin(pool, a, vbox)?;
-            let lb = lin(pool, b, vbox)?;
+            let la = lin(cx, a, vbox)?;
+            let lb = lin(cx, b, vbox)?;
             let scale = |l: Lin, c: i128| -> Option<Lin> {
                 match c {
                     0 => Some(Lin::constant(0)),
@@ -164,53 +191,48 @@ fn lin(pool: &TermPool, t: TermId, vbox: &VarBox) -> Option<Lin> {
 /// polarity. Conjunctions descend under positive polarity, disjunctions
 /// under negative (De Morgan); comparisons decompose through [`lin`].
 /// Constraints outside the fragment contribute nothing.
-fn constraint_edges(
-    pool: &TermPool,
-    c: TermId,
-    polarity: bool,
-    vbox: &VarBox,
-    out: &mut Vec<ZoneEdge>,
-) {
-    match pool.data(c) {
+fn constraint_edges(cx: Ctx<'_>, c: TermId, polarity: bool, vbox: &VarBox, out: &mut Vec<Edge>) {
+    match cx.pool.data(c) {
         // An asserted constant `false`: a weight `-1` self-loop on the
         // zero node is the canonical contradiction edge.
-        TermData::BoolConst(b) if b != polarity => {
-            out.push(ZoneEdge {
-                src: None,
-                dst: None,
-                weight: -1,
-            });
-        }
+        TermData::BoolConst(b) if b != polarity => out.push(Edge {
+            src: 0,
+            dst: 0,
+            weight: -1,
+        }),
         // A boolean variable asserted outright: `b ≥ 1` (or `b ≤ 0`
         // negated) over its `[0, 1]` box encoding.
-        TermData::Var(v) if vbox.slot_index(v).is_some() => {
-            let edge = if polarity {
-                ZoneEdge {
-                    src: Some(v),
-                    dst: None,
+        TermData::Var(v) => {
+            let Some(slot) = cx.layout.slot_index(v) else {
+                return;
+            };
+            let node = slot as u32 + 1;
+            out.push(if polarity {
+                Edge {
+                    src: node,
+                    dst: 0,
                     weight: -1,
                 }
             } else {
-                ZoneEdge {
-                    src: None,
-                    dst: Some(v),
+                Edge {
+                    src: 0,
+                    dst: node,
                     weight: 0,
                 }
-            };
-            out.push(edge);
+            });
         }
-        TermData::Not(a) => constraint_edges(pool, a, !polarity, vbox, out),
+        TermData::Not(a) => constraint_edges(cx, a, !polarity, vbox, out),
         TermData::And(a, b) if polarity => {
-            constraint_edges(pool, a, true, vbox, out);
-            constraint_edges(pool, b, true, vbox, out);
+            constraint_edges(cx, a, true, vbox, out);
+            constraint_edges(cx, b, true, vbox, out);
         }
         TermData::Or(a, b) if !polarity => {
-            constraint_edges(pool, a, false, vbox, out);
-            constraint_edges(pool, b, false, vbox, out);
+            constraint_edges(cx, a, false, vbox, out);
+            constraint_edges(cx, b, false, vbox, out);
         }
         TermData::Cmp(op, a, b) => {
             let op = if polarity { op } else { op.negate() };
-            let (Some(la), Some(lb)) = (lin(pool, a, vbox), lin(pool, b, vbox)) else {
+            let (Some(la), Some(lb)) = (lin(cx, a, vbox), lin(cx, b, vbox)) else {
                 return;
             };
             match op {
@@ -233,88 +255,99 @@ fn constraint_edges(
 /// Emits the edge for `l ≤ r + slack` (slack `-1` encodes strict `<`):
 /// with `d = l - r` in `±p ∓ n + k` form, the constraint is
 /// `p - n ≤ slack - k`.
-fn le_edge(l: Lin, r: Lin, slack: i128, out: &mut Vec<ZoneEdge>) {
+fn le_edge(l: Lin, r: Lin, slack: i128, out: &mut Vec<Edge>) {
     let Some(d) = l.add(r.negated()) else {
         return;
     };
-    let w = slack - d.k;
-    out.push(ZoneEdge {
-        src: d.neg,
-        dst: d.pos,
-        weight: w,
+    out.push(Edge {
+        src: d.neg.unwrap_or(0),
+        dst: d.pos.unwrap_or(0),
+        weight: slack - d.k,
     });
 }
 
-/// All difference edges of a query at its current root box: decomposed
-/// live constraints first (in the caller's canonical order), then the
-/// box's own bounds in slot order — a fixed order, so the scan below is
-/// deterministic.
-pub(crate) fn query_edges(pool: &TermPool, live: &[TermId], vbox: &VarBox) -> Vec<ZoneEdge> {
-    let mut edges = Vec::new();
+/// Relational root refutation: decomposes the live constraints (in the
+/// caller's canonical order) plus the contracted box into difference
+/// edges and looks for a negative cycle. `Some(cycle)` is a proof that no
+/// point of the box satisfies the conjunction; `None` carries no
+/// information. Deterministic: a pure function of `(live order, box)`.
+pub(crate) fn zone_refute(
+    cx: Ctx<'_>,
+    live: &[TermId],
+    vbox: &VarBox,
+    scratch: &mut ZoneScratch,
+) -> Option<Vec<ZoneEdge>> {
+    let ZoneScratch { edges, dist, pred } = scratch;
+    edges.clear();
     for &c in live {
-        constraint_edges(pool, c, true, vbox, &mut edges);
+        constraint_edges(cx, c, true, vbox, edges);
     }
     if edges.is_empty() {
         // Box bounds alone describe a non-empty box; no cycle possible.
-        return edges;
+        return None;
     }
-    for &v in vbox.vars() {
-        let iv = vbox.get(v);
-        edges.push(ZoneEdge {
-            src: None,
-            dst: Some(v),
+    // The box's own bounds, in slot order.
+    for slot in 0..vbox.len() {
+        let iv = vbox.at(slot);
+        let node = slot as u32 + 1;
+        edges.push(Edge {
+            src: 0,
+            dst: node,
             weight: iv.hi() as i128,
         });
-        edges.push(ZoneEdge {
-            src: Some(v),
-            dst: None,
+        edges.push(Edge {
+            src: node,
+            dst: 0,
             weight: -(iv.lo() as i128),
         });
     }
-    edges
-}
-
-/// Relational root refutation: decomposes the live constraints plus the
-/// contracted box into difference edges and scans for a negative cycle.
-/// `Some(cycle)` is a proof that no point of the box satisfies the
-/// conjunction; `None` carries no information. Deterministic: a pure
-/// function of `(live order, box)`.
-pub(crate) fn zone_refute(
-    pool: &TermPool,
-    live: &[TermId],
-    vbox: &VarBox,
-) -> Option<Vec<ZoneEdge>> {
-    let edges = query_edges(pool, live, vbox);
-    negative_cycle(vbox, &edges)
-}
-
-/// Bellman–Ford negative-cycle detection over the difference graph, with
-/// predecessor-edge extraction of one witness cycle. Distances start at
-/// zero everywhere (a virtual source connected to every node), so any
-/// negative cycle is found regardless of reachability. Runs `n` full
-/// relaxation passes; a relaxation in the final pass proves a cycle, and
-/// walking the predecessor chain `n` steps lands inside it.
-pub(crate) fn negative_cycle(vbox: &VarBox, edges: &[ZoneEdge]) -> Option<Vec<ZoneEdge>> {
-    if edges.is_empty() {
+    let cycle = bellman_ford(vbox.len() + 1, edges, dist, pred)?;
+    let var = |node: u32| (node > 0).then(|| cx.layout.vars()[node as usize - 1]);
+    let out: Vec<ZoneEdge> = cycle
+        .iter()
+        .map(|e| ZoneEdge {
+            src: var(e.src),
+            dst: var(e.dst),
+            weight: e.weight,
+        })
+        .collect();
+    // Defensive re-verification before claiming anything: the edges must
+    // chain (each dst is the next src) and telescope to a negative sum.
+    let chained = out
+        .iter()
+        .zip(out.iter().cycle().skip(1))
+        .all(|(e, next)| e.dst == next.src);
+    if !chained || out.iter().map(|e| e.weight).sum::<i128>() >= 0 {
         return None;
     }
-    let n = vbox.len() + 1;
-    let node = |v: Option<VarId>| -> Option<usize> {
-        match v {
-            None => Some(0),
-            Some(var) => vbox.slot_index(var).map(|s| s + 1),
-        }
-    };
-    let mut dist = vec![0i128; n];
-    let mut pred: Vec<Option<usize>> = vec![None; n];
+    Some(out)
+}
+
+/// Bellman–Ford negative-cycle detection over the difference graph of `n`
+/// nodes, with predecessor-edge extraction of one witness cycle.
+/// Distances start at zero everywhere (a virtual source connected to every
+/// node), so any negative cycle is found regardless of reachability. Runs
+/// `n` full relaxation passes; a relaxation in the final pass proves a
+/// cycle, and walking the predecessor chain `n` steps lands inside it.
+fn bellman_ford(
+    n: usize,
+    edges: &[Edge],
+    dist: &mut Vec<i128>,
+    pred: &mut Vec<Option<u32>>,
+) -> Option<Vec<Edge>> {
+    dist.clear();
+    dist.resize(n, 0);
+    pred.clear();
+    pred.resize(n, None);
     let mut flagged: Option<usize> = None;
     'passes: for pass in 0..n {
         let mut any = false;
         for (ei, e) in edges.iter().enumerate() {
-            let (s, d) = (node(e.src)?, node(e.dst)?);
-            if dist[s] + e.weight < dist[d] {
-                dist[d] = dist[s] + e.weight;
-                pred[d] = Some(ei);
+            let (s, d) = (e.src as usize, e.dst as usize);
+            let via = dist[s] + e.weight;
+            if via < dist[d] {
+                dist[d] = via;
+                pred[d] = Some(ei as u32);
                 any = true;
                 if pass == n - 1 {
                     flagged = Some(d);
@@ -330,14 +363,14 @@ pub(crate) fn negative_cycle(vbox: &VarBox, edges: &[ZoneEdge]) -> Option<Vec<Zo
     // Walk back n steps to guarantee we are on the cycle itself, not a
     // tail hanging off it.
     for _ in 0..n {
-        x = node(edges[pred[x]?].src)?;
+        x = edges[pred[x]? as usize].src as usize;
     }
     let first = x;
-    let mut cycle: Vec<usize> = Vec::new();
+    let mut cycle: Vec<Edge> = Vec::new();
     loop {
-        let ei = pred[x]?;
-        cycle.push(ei);
-        x = node(edges[ei].src)?;
+        let e = edges[pred[x]? as usize];
+        cycle.push(e);
+        x = e.src as usize;
         if x == first {
             break;
         }
@@ -346,25 +379,15 @@ pub(crate) fn negative_cycle(vbox: &VarBox, edges: &[ZoneEdge]) -> Option<Vec<Zo
         }
     }
     cycle.reverse();
-    let out: Vec<ZoneEdge> = cycle.into_iter().map(|ei| edges[ei].clone()).collect();
-    // Defensive re-verification before claiming anything: the edges must
-    // chain (each dst is the next src) and telescope to a negative sum.
-    let chained = out
-        .iter()
-        .zip(out.iter().cycle().skip(1))
-        .all(|(e, next)| e.dst == next.src);
-    if !chained || out.iter().map(|e| e.weight).sum::<i128>() >= 0 {
-        return None;
-    }
-    Some(out)
+    Some(cycle)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::interval::Interval;
-    use crate::solver::{Domains, VarBox};
-    use crate::term::Sort;
+    use crate::solver::{BoxLayout, Domains, VarBox};
+    use crate::term::{Sort, TermPool};
 
     fn setup() -> (TermPool, Vec<VarId>) {
         let mut pool = TermPool::new();
@@ -374,12 +397,75 @@ mod tests {
         (pool, vec![x, y, z])
     }
 
-    fn boxed(pool: &TermPool, vars: &[VarId], lo: i64, hi: i64) -> VarBox {
+    fn boxed(pool: &TermPool, vars: &[VarId], lo: i64, hi: i64) -> (BoxLayout, VarBox) {
         let mut d = Domains::new();
+        let mut layout = BoxLayout::default();
         for &v in vars {
             d.bound(v, lo, hi);
+            layout.insert(v);
         }
-        VarBox::new(pool, vars, &d, Interval::of(lo, hi))
+        let mut vbox = VarBox::default();
+        vbox.reset(pool, &layout, &d, Interval::of(lo, hi));
+        (layout, vbox)
+    }
+
+    fn zone_refute(
+        pool: &TermPool,
+        live: &[TermId],
+        (layout, vbox): &(BoxLayout, VarBox),
+    ) -> Option<Vec<ZoneEdge>> {
+        let cx = Ctx { pool, layout };
+        super::zone_refute(cx, live, vbox, &mut ZoneScratch::default())
+    }
+
+    /// The `Vec`-based cancellation [`Lin::add`] replaced, kept as its
+    /// oracle.
+    fn add_by_vecs(a: Lin, b: Lin) -> Option<Lin> {
+        let mut pos: Vec<u32> = [a.pos, b.pos].into_iter().flatten().collect();
+        let mut neg: Vec<u32> = [a.neg, b.neg].into_iter().flatten().collect();
+        let mut i = 0;
+        while i < pos.len() {
+            if let Some(j) = neg.iter().position(|&v| v == pos[i]) {
+                pos.remove(i);
+                neg.remove(j);
+            } else {
+                i += 1;
+            }
+        }
+        if pos.len() > 1 || neg.len() > 1 {
+            return None;
+        }
+        Some(Lin {
+            pos: pos.first().copied(),
+            neg: neg.first().copied(),
+            k: a.k + b.k,
+            lo: a.lo + b.lo,
+            hi: a.hi + b.hi,
+        })
+    }
+
+    #[test]
+    fn allocation_free_add_matches_the_vec_cancellation() {
+        // Every `pos`/`neg` combination of both operands over
+        // {none, x, y, z}.
+        let vars = [None, Some(1), Some(2), Some(3)];
+        let lin = |pos, neg| Lin {
+            pos,
+            neg,
+            k: 0,
+            lo: 0,
+            hi: 0,
+        };
+        let mut cancelled = 0;
+        for i in 0..vars.len().pow(4) {
+            let [ap, an, bp, bn] = [0, 1, 2, 3].map(|k| vars[i / vars.len().pow(k) % vars.len()]);
+            let (a, b) = (lin(ap, an), lin(bp, bn));
+            let got = a.add(b).map(|l| (l.pos, l.neg));
+            let want = add_by_vecs(a, b).map(|l| (l.pos, l.neg));
+            assert_eq!(got, want, "({ap:?} - {an:?}) + ({bp:?} - {bn:?})");
+            cancelled += usize::from(got.is_some_and(|(p, n)| p.is_none() && n.is_none()));
+        }
+        assert!(cancelled > 0, "no combination cancelled fully");
     }
 
     #[test]

@@ -600,12 +600,16 @@ struct SeededQuery {
     max_nodes: u64,
 }
 
-/// Draws a query: 1–3 random formulas over `x`, `y`, `z` (sometimes
-/// weakened by a boolean flag that a further constraint forces false),
-/// domains from tiny to the default, and a node budget of 400 or, in a
-/// quarter of the cases, 1–40.
+/// Draws a query into a fresh pool: see [`seeded_query_in`].
 fn seeded_query(rng: &mut Rng) -> SeededQuery {
-    let mut pool = TermPool::new();
+    seeded_query_in(TermPool::new(), rng)
+}
+
+/// Draws a query into `pool`: 1–3 random formulas over `x`, `y`, `z`
+/// (sometimes weakened by a boolean flag that a further constraint forces
+/// false), domains from tiny to the default, and a node budget of 400 or,
+/// in a quarter of the cases, 1–40.
+fn seeded_query_in(mut pool: TermPool, rng: &mut Rng) -> SeededQuery {
     let vs = [
         pool.var("x", Sort::Int),
         pool.var("y", Sort::Int),
@@ -719,6 +723,78 @@ fn probe_before_the_fleet_answers_like_the_full_search() {
     );
     drop(fleet);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A solver reuses its search buffers (box layout, slot table, root node,
+/// recycled node and box stacks, zone graph) from one query to the next.
+/// One long-lived solver per budget answers a seeded, interleaved run of
+/// `check` and `count_models` calls over one growing pool — 1 to 9
+/// variables, domains from tiny to the default, some queries cut short by
+/// the budget mid-search — and every answer must be a fresh solver's:
+/// verdict, model, node count and count bounds. A buffer that a query
+/// failed to reset would show as a different answer or node count.
+#[test]
+fn reused_search_scratch_leaves_no_residue() {
+    let config = |max_nodes: u64| SolverConfig {
+        max_nodes,
+        cache_capacity: 0,
+        ..SolverConfig::default()
+    };
+    let budgets = [400u64, 9];
+    let mut long: Vec<Solver> = budgets.iter().map(|&b| Solver::new(config(b))).collect();
+    let mut rng = Rng::new(0x5c2a_7c00);
+    let mut pool = TermPool::new();
+    let (mut checks, mut counts, mut unknown, mut widest) = (0u32, 0u32, 0u32, 0usize);
+    for case in 0..600u32 {
+        let mut q = seeded_query_in(pool, &mut rng);
+        // Widen some queries with extra variables, bounded by constants
+        // or by `x` (var–var edges for the zone pass).
+        let x = q.pool.named_var("x", Sort::Int);
+        for k in 0..rng.index(6) {
+            let w = q.pool.named_var(&format!("w{k}"), Sort::Int);
+            let c = q.pool.int(rng.range(-8, 8));
+            let bound = if rng.index(2) == 0 {
+                c
+            } else {
+                q.pool.add(x, c)
+            };
+            let atom = q.pool.lt(w, bound);
+            q.constraints.push(atom);
+        }
+        let vars: std::collections::BTreeSet<_> = q
+            .constraints
+            .iter()
+            .flat_map(|&c| q.pool.vars_of(c))
+            .collect();
+        widest = widest.max(vars.len());
+        let counting = rng.index(4) == 0;
+        for (solver, &budget) in long.iter_mut().zip(&budgets) {
+            let mut fresh = Solver::new(config(budget));
+            let before = solver.stats().nodes;
+            if counting {
+                let got = solver.count_models(&q.pool, &q.constraints, &q.domains);
+                let want = fresh.count_models(&q.pool, &q.constraints, &q.domains);
+                assert_eq!(got, want, "case {case}, budget {budget}: count bounds");
+                counts += 1;
+            } else {
+                let got = solver.check(&q.pool, &q.constraints, &q.domains);
+                let want = fresh.check(&q.pool, &q.constraints, &q.domains);
+                assert_eq!(got, want, "case {case}, budget {budget}: answer");
+                unknown += u32::from(got == SatResult::Unknown);
+                checks += 1;
+            }
+            assert_eq!(
+                solver.stats().nodes - before,
+                fresh.stats().nodes,
+                "case {case}, budget {budget}: node count"
+            );
+        }
+        pool = q.pool;
+    }
+    assert!(
+        checks > 600 && counts > 150 && unknown > 50 && widest >= 8,
+        "checks {checks}, counts {counts}, unknown {unknown}, widest {widest}"
+    );
 }
 
 /// Pins the solver's exact answers, not only their soundness: verdict,

@@ -32,8 +32,8 @@ cargo check --offline --manifest-path bench_e2e/Cargo.toml
 echo "==> tier-1: tests"
 cargo test -q
 
-echo "==> execution engine crates' tests, debug (overflow checks on, unlike the release run below)"
-cargo test -q -p cpr-lang -p cpr-concolic
+echo "==> execution engine and solver crates' tests, debug (overflow checks on, unlike the release run below)"
+cargo test -q -p cpr-lang -p cpr-concolic -p cpr-smt
 
 echo "==> static lint of shipped subjects (cpr-lint, zero diagnostics expected)"
 cargo run --release -q -p cpr-analysis --bin cpr-lint programs/*.cpr
@@ -59,11 +59,13 @@ echo "==> observability: every allowlisted metric documented in DESIGN.md"
 while IFS= read -r metric; do
   case "$metric" in ''|'#'*|'['*) continue;; esac
   subsystem="${metric%%.*}"
-  # Fleet-cache and serving-tier metrics get the stricter two-level
-  # prefix: a bare mention of `solver.` must not vouch for the
-  # solver.fleet.* family, nor `serve.` for serve.accept.*/conn.*.
+  # Fleet-cache, zone-pass and serving-tier metrics get the stricter
+  # two-level prefix: a bare mention of `solver.` must not vouch for the
+  # solver.fleet.* or solver.zone.* family, nor `serve.` for
+  # serve.accept.*/conn.*.
   case "$metric" in
     solver.fleet.*) subsystem="solver.fleet";;
+    solver.zone.*) subsystem="solver.zone";;
     serve.accept.*|serve.conn.*) subsystem="${metric%.*}";;
   esac
   grep -q -e "$metric" -e "\`$subsystem\." DESIGN.md || {
