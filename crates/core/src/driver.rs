@@ -228,6 +228,9 @@ impl RepairDriver {
         let (entries, synth_stats) = build_patch_pool(&mut sess, &problem, &config);
         sess.obs.synthesize_nanos.stop(synth_timer);
         sess.obs.patches_synthesized.add(entries.len() as u64);
+        sess.obs
+            .refine_model_reuse_hits
+            .add(synth_stats.model_reuse_hits);
         sess.obs.pool_patches.set(entries.len() as i64);
         let p_init = synth_stats.concrete;
         let abstract_init = entries.len();
@@ -438,6 +441,7 @@ impl RepairDriver {
             obs.patches_refined.add(rstats.refined as u64);
             obs.patches_dropped.add(rstats.removed as u64);
             obs.evidence_feasible.add(rstats.feasible as u64);
+            obs.refine_model_reuse_hits.add(rstats.model_reuse_hits);
         }
         obs.pool_patches.set(self.entries.len() as i64);
         self.history.push(pool_volume(&self.entries));

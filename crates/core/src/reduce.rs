@@ -39,7 +39,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cpr_concolic::ConcolicResult;
-use cpr_smt::{Domains, Region, SatResult, Solver, TermId, TermPool};
+use cpr_smt::{Domains, Model, Region, SatResult, Solver, TermId, TermPool};
 use cpr_synth::AbstractPatch;
 
 use crate::problem::RepairConfig;
@@ -57,6 +57,9 @@ pub struct ReduceStats {
     pub feasible: usize,
     /// Solver calls spent.
     pub solver_calls: u64,
+    /// RefinePatch `ω_pass2` queries answered from a witness model instead
+    /// of the solver ("refine.model_reuse_hits").
+    pub model_reuse_hits: u64,
     /// Always 0: every query goes to the solver, whose root search node
     /// refutes what a static screen used to. Kept because external
     /// benchmark code still reads the field.
@@ -71,6 +74,7 @@ struct EntryOutcome {
     refined_shrunk: bool,
     new_patch: Option<AbstractPatch>,
     deletion: bool,
+    model_reuse_hits: u64,
 }
 
 /// Algorithm 2: reduces the patch pool against one explored partition.
@@ -131,6 +135,7 @@ pub fn reduce(
         },
     );
     for (entry, outcome) in entries.iter_mut().zip(outcomes) {
+        stats.model_reuse_hits += outcome.model_reuse_hits;
         if !outcome.feasible {
             // Unsat/Unknown π: cannot reason about ρ here; ranking unchanged.
             continue;
@@ -250,6 +255,7 @@ fn process_entry(
         refined_shrunk: false,
         new_patch: None,
         deletion: false,
+        model_reuse_hits: 0,
     };
     // π ← φ(X) ∧ ψ_ρ(X, A) ∧ T_ρ(A)
     if !check_query(pool, solver, domains, phi, &[t_term]).is_sat() {
@@ -259,6 +265,7 @@ fn process_entry(
     let mut patch = patch.clone();
     if refine_spec {
         if let Some(sigma) = sigma {
+            let mut counts = RefineCounts::default();
             let refined = refine_patch_impl(
                 pool,
                 solver,
@@ -267,8 +274,10 @@ fn process_entry(
                 &patch.constraint,
                 sigma,
                 &mut 0,
+                &mut counts,
                 config,
             );
+            outcome.model_reuse_hits = counts.model_reuse_hits;
             if refined.volume() < patch.constraint.volume() {
                 outcome.refined_shrunk = true;
             }
@@ -383,12 +392,41 @@ pub fn refine_patch(
         region,
         sigma,
         calls,
+        &mut RefineCounts::default(),
         config,
     )
 }
 
+/// What [`refine_patch_impl`] calls did besides returning regions,
+/// accumulated over every call given the same counts.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RefineCounts {
+    /// `ω_pass2` queries answered from a witness model, without the solver.
+    pub(crate) model_reuse_hits: u64,
+    /// Solver-issued `ω_pass2` verdicts: `Sat`, `Unsat`, `Unknown`.
+    #[cfg(test)]
+    pub(crate) pass2_issued: [u64; 3],
+}
+
+#[cfg(test)]
+impl RefineCounts {
+    fn tally_pass2(&mut self, verdict: &SatResult) {
+        let slot = match verdict {
+            SatResult::Sat(_) => 0,
+            SatResult::Unsat => 1,
+            SatResult::Unknown => 2,
+        };
+        self.pass2_issued[slot] += 1;
+    }
+}
+
+/// How many of the latest models of `φ ∧ σ` one top-level refinement keeps
+/// as `ω_pass2` witnesses.
+const MAX_WITNESSES: usize = 4;
+
 /// [`refine_patch`] on explicit pool/solver/domain state, so reduce and
-/// Phase-1 validation workers can run it on their forks.
+/// Phase-1 validation workers can run it on their forks. `counts`
+/// accumulates what the call did besides returning the region.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_patch_impl(
     pool: &mut TermPool,
@@ -398,6 +436,7 @@ pub(crate) fn refine_patch_impl(
     region: &Region,
     sigma: TermId,
     calls: &mut u32,
+    counts: &mut RefineCounts,
     config: &RepairConfig,
 ) -> Region {
     let mut refinement = Refinement {
@@ -409,6 +448,8 @@ pub(crate) fn refine_patch_impl(
         calls,
         config,
         pass1: None,
+        witnesses: Vec::new(),
+        counts,
     };
     refinement.refine(region, 0, None)
 }
@@ -429,6 +470,14 @@ pub(crate) fn refine_patch_impl(
 ///   child's `ω_pass2` or `ω_fail` is a model of the guard. If the guard
 ///   turns out `Unsat`, the eager recursion never entered the child: the
 ///   child rolls `calls` back to its entry value and returns `r` unchanged.
+/// * `ω_pass2 = φ ∧ T_r ∧ σ` counts as `Sat` without a solver call when a
+///   witness — a model of `φ ∧ σ` the solver already returned (ω_pass1's
+///   or an earlier `Sat` ω_pass2's) — still satisfies `φ` and `σ` with its
+///   parameters clamped into `r`'s first box. Only ω_pass2's verdict is
+///   read, and its `Sat` and `Unknown` lead to the same region and `calls`:
+///   `Sat` only settles the pending guard, which a real model of `φ ∧ T_r`
+///   cannot refute. ω_pass1 and ω_fail, whose model picks the split,
+///   always go to the solver.
 struct Refinement<'a> {
     pool: &'a mut TermPool,
     solver: &'a mut Solver,
@@ -439,6 +488,11 @@ struct Refinement<'a> {
     config: &'a RepairConfig,
     /// `is_sat()` of ω_pass1, once decided (`Unknown` counts as not sat).
     pass1: Option<bool>,
+    /// The latest models of `φ ∧ σ` the solver returned, oldest first, at
+    /// most [`MAX_WITNESSES`]. Never shared beyond this refinement, so
+    /// what it answers does not depend on scheduling.
+    witnesses: Vec<Model>,
+    counts: &'a mut RefineCounts,
 }
 
 impl Refinement<'_> {
@@ -468,24 +522,41 @@ impl Refinement<'_> {
         let pass1 = match self.pass1 {
             Some(sat) => sat,
             None => {
-                let sat = self.check(&[self.sigma]).is_sat();
+                let sat = match self.check(&[self.sigma]) {
+                    SatResult::Sat(model) => {
+                        self.remember(model);
+                        true
+                    }
+                    SatResult::Unsat | SatResult::Unknown => false,
+                };
                 self.pass1 = Some(sat);
                 sat
             }
         };
         if pass1 {
-            // ω_pass2 ← φ ∧ ψ_ρ ∧ T_ρ ∧ σ
+            // ω_pass2 ← φ ∧ ψ_ρ ∧ T_ρ ∧ σ, from a witness when one holds
             *self.calls += 1;
-            match self.check(&[region_term, self.sigma]) {
-                SatResult::Unsat => {
-                    if self.guard_refutes(guard, entry_calls) {
-                        return region.clone();
+            if self.witness_holds(region) {
+                self.counts.model_reuse_hits += 1;
+                guard = None;
+            } else {
+                let verdict = self.check(&[region_term, self.sigma]);
+                #[cfg(test)]
+                self.counts.tally_pass2(&verdict);
+                match verdict {
+                    SatResult::Unsat => {
+                        if self.guard_refutes(guard, entry_calls) {
+                            return region.clone();
+                        }
+                        // No parameter value in T_ρ can make the spec pass: discard.
+                        return Region::empty(region.params().to_vec());
                     }
-                    // No parameter value in T_ρ can make the spec pass: discard.
-                    return Region::empty(region.params().to_vec());
+                    SatResult::Sat(model) => {
+                        self.remember(model);
+                        guard = None;
+                    }
+                    SatResult::Unknown => {}
                 }
-                SatResult::Sat(_) => guard = None,
-                SatResult::Unknown => {}
             }
         }
 
@@ -526,6 +597,37 @@ impl Refinement<'_> {
             }
         }
         Region::union(region.params().to_vec(), kept).merged()
+    }
+
+    /// Keeps `model`, a model of `φ ∧ σ`, as the newest witness.
+    fn remember(&mut self, model: Model) {
+        if self.witnesses.len() == MAX_WITNESSES {
+            self.witnesses.remove(0);
+        }
+        self.witnesses.push(model);
+    }
+
+    /// Whether some witness, newest first, moved into `region` is a model
+    /// of `φ ∧ T_region ∧ σ`: each parameter is clamped into the region's
+    /// first box (so `T_region` holds) and must lie in its domain; the
+    /// other values are a solver model's under the same `domains`, so they
+    /// lie in theirs.
+    fn witness_holds(&self, region: &Region) -> bool {
+        let Some(first) = region.boxes().first() else {
+            return false;
+        };
+        let pool: &TermPool = self.pool;
+        self.witnesses.iter().rev().any(|witness| {
+            let mut model = witness.clone();
+            for (&p, iv) in region.params().iter().zip(first.intervals()) {
+                let value = witness.int(p).unwrap_or(0).clamp(iv.lo(), iv.hi());
+                if !self.domains.get(p).is_some_and(|d| d.contains(value)) {
+                    return false;
+                }
+                model.set(p, value);
+            }
+            model.eval_bool(pool, self.sigma) && model.satisfies(pool, self.phi)
+        })
     }
 
     /// Decides a still-pending sub-region guard for a call that ends
@@ -1038,10 +1140,20 @@ mod tests {
         region: Region,
     }
 
-    /// What one refinement leaves behind: the region, the final `calls`,
-    /// the solver queries issued, the pool size and the eager oracle's
-    /// refuted-guard count (0 for the deferred recursion).
-    type RefineOutcome = (Region, u32, u64, usize, u32);
+    /// What one refinement leaves behind.
+    struct RefineOutcome {
+        region: Region,
+        /// The final `calls`.
+        calls: u32,
+        /// Solver queries issued.
+        queries: u64,
+        pool_len: usize,
+        /// Guards the eager oracle found `Unsat` (0 for the deferred
+        /// recursion).
+        refuted_guards: u32,
+        /// The deferred recursion's counts (all 0 for the oracle).
+        counts: RefineCounts,
+    }
 
     /// Runs the eager oracle or [`refine_patch_impl`] on a fork of the
     /// case's session, like a reduce worker does.
@@ -1051,7 +1163,8 @@ mod tests {
         let domains = &case.sess.domains;
         let before = solver.stats().queries;
         let mut calls = 0;
-        let mut refuted = 0;
+        let mut refuted_guards = 0;
+        let mut counts = RefineCounts::default();
         let (pool, solver) = (&mut pool, &mut solver);
         let (phi, region, sigma) = (&case.phi, &case.region, case.sigma);
         let region = if eager {
@@ -1065,24 +1178,40 @@ mod tests {
                 0,
                 &mut calls,
                 config,
-                &mut refuted,
+                &mut refuted_guards,
             )
         } else {
             refine_patch_impl(
-                pool, solver, domains, phi, region, sigma, &mut calls, config,
+                pool,
+                solver,
+                domains,
+                phi,
+                region,
+                sigma,
+                &mut calls,
+                &mut counts,
+                config,
             )
         };
-        let queries = solver.stats().queries - before;
-        (region, calls, queries, pool.len(), refuted)
+        RefineOutcome {
+            region,
+            calls,
+            queries: solver.stats().queries - before,
+            pool_len: pool.len(),
+            refuted_guards,
+            counts,
+        }
     }
 
-    /// Builds the refinement cases of `problem`: each template (over the
-    /// parameters `a`, `b`) is run concolically with `a = b = 5` on each
-    /// input, and its partition refined from two starting regions — the
-    /// full box, and an isolated corner box beside a middle one, whose
-    /// sub-region guard is `Unsat` on most partitions.
+    /// Builds the refinement cases of `problem`, on sessions set up with
+    /// `session_config` (whose solver answers the case's queries): each
+    /// template (over the parameters `a`, `b`) is run concolically with
+    /// `a = b = 5` on each input, and its partition refined from two
+    /// starting regions — the full box, and an isolated corner box beside
+    /// a middle one, whose sub-region guard is `Unsat` on most partitions.
     fn refine_cases(
         problem: &RepairProblem,
+        session_config: &RepairConfig,
         templates: &[Template],
         inputs: &[[i64; 2]],
     ) -> Vec<RefineCase> {
@@ -1091,7 +1220,7 @@ mod tests {
         for template in templates {
             for input in inputs {
                 for isolated_corner in [false, true] {
-                    let mut sess = Session::new(problem, &RepairConfig::quick());
+                    let mut sess = Session::new(problem, session_config);
                     let pool = &mut sess.pool;
                     let input_vars: Vec<VarId> = program
                         .inputs
@@ -1143,10 +1272,53 @@ mod tests {
         cases
     }
 
-    /// The deferred recursion returns the eager Algorithm 3's region and
-    /// leaves `calls` where it left them, for every budget cutoff — calls
-    /// swept so the cut lands mid sibling loop, depths 1–3 and the default
-    /// — on the DIV and the libtiff-865f7b2-shaped problems; and it never
+    /// The partition `φ` and specification `σ` of a hand-built case, over
+    /// the DIV problem's inputs `x`, `y` and parameters `a`, `b` (terms).
+    type Formula = fn(&mut TermPool, [TermId; 4]) -> (Vec<TermId>, TermId);
+
+    /// A hand-built refinement case per starting region of `regions`
+    /// (boxes over the parameters `a`, then `b`, as many as a box has
+    /// intervals), on sessions set up with `session_config`.
+    fn formula_cases(
+        session_config: &RepairConfig,
+        formula: Formula,
+        regions: &[Vec<Vec<(i64, i64)>>],
+    ) -> Vec<RefineCase> {
+        regions
+            .iter()
+            .map(|boxes| {
+                let problem = crate::synthesize::tests::problem();
+                let mut sess = Session::new(&problem, session_config);
+                let pool = &mut sess.pool;
+                let vars = ["x", "y", "a", "b"].map(|name| pool.find_var(name).unwrap());
+                let terms = vars.map(|var| pool.var_term(var));
+                let (phi, sigma) = formula(pool, terms);
+                let dims = boxes[0].len();
+                let boxes = boxes
+                    .iter()
+                    .map(|ivs| {
+                        ParamBox::new(ivs.iter().map(|&(lo, hi)| Interval::of(lo, hi)).collect())
+                    })
+                    .collect();
+                let region = Region::from_boxes(vars[2..2 + dims].to_vec(), boxes);
+                RefineCase {
+                    sess,
+                    phi,
+                    sigma,
+                    region,
+                }
+            })
+            .collect()
+    }
+
+    /// The deferred recursion, answering `ω_pass2` from witnesses where it
+    /// can, returns the eager Algorithm 3's region and leaves `calls` and
+    /// the pool where it left them, for every budget cutoff — calls swept
+    /// so the cut lands mid sibling loop, depths 1–3 and the default — on
+    /// the DIV and the libtiff-865f7b2-shaped problems (also with a solver
+    /// node budget small enough to leave queries `Unknown`) and on
+    /// hand-built partitions whose specification mentions the parameters,
+    /// where a witness moved into a region can break `σ`; and it never
     /// issues more queries.
     #[test]
     fn deferred_refinement_matches_the_eager_algorithm() {
@@ -1163,31 +1335,95 @@ mod tests {
                 p.and(ua, vb)
             },
         ];
-        let mut cases = refine_cases(&problem(), &templates, &[[7, 0], [4, 0]]);
+        let quick = RepairConfig::quick();
+        let starved = RepairConfig {
+            solver: cpr_smt::SolverConfig {
+                max_nodes: 4,
+                ..quick.solver.clone()
+            },
+            ..RepairConfig::quick()
+        };
+        let mut cases = refine_cases(&problem(), &quick, &templates, &[[7, 0], [4, 0]]);
         cases.extend(refine_cases(
             &asserting_problem(),
+            &quick,
             &templates,
             &[[3, 2], [-4, 3]],
         ));
-        // A partition on which the spec can never pass (ω_pass1 Unsat):
-        // x ≥ a ∧ x > 5 with σ = x < 0.
-        let mut sess = Session::new(&problem(), &RepairConfig::quick());
-        let x = sess.pool.find_var("x").unwrap();
-        let x = sess.pool.var_term(x);
-        let a_var = sess.pool.find_var("a").unwrap();
-        let a = sess.pool.var_term(a_var);
-        let (zero, five) = (sess.pool.int(0), sess.pool.int(5));
-        let phi = vec![sess.pool.ge(x, a), sess.pool.gt(x, five)];
-        let sigma = sess.pool.lt(x, zero);
-        cases.push(RefineCase {
-            sess,
-            phi,
-            sigma,
-            region: Region::full(vec![a_var], -10, 10),
-        });
-        assert!(cases.len() >= 20, "only {} cases", cases.len());
+        cases.extend(refine_cases(&problem(), &starved, &templates, &[[7, 0]]));
+        // A partition on which the spec can never pass (ω_pass1 Unsat).
+        cases.extend(formula_cases(
+            &quick,
+            |p, [x, _, a, _]| {
+                let (zero, five) = (p.int(0), p.int(5));
+                (vec![p.ge(x, a), p.gt(x, five)], p.lt(x, zero))
+            },
+            &[vec![vec![(-10, 10)]]],
+        ));
+        // The spec passes outside the band 0 ≤ a ≤ 5: a witness clamped
+        // into a box at or inside the band satisfies φ but not σ, and
+        // ω_pass2 is Unsat on a box inside it.
+        cases.extend(formula_cases(
+            &quick,
+            |p, [x, _, a, _]| {
+                let (zero, five) = (p.int(0), p.int(5));
+                let (below, above) = (p.lt(a, zero), p.gt(a, five));
+                (vec![p.ge(x, a), p.gt(x, five)], p.or(below, above))
+            },
+            &[
+                vec![vec![(-10, 10)]],
+                vec![vec![(1, 4)]],
+                vec![vec![(2, 3)], vec![(-10, -8)]],
+                vec![vec![(0, 7)], vec![(-10, -10)]],
+            ],
+        ));
+        // Spec over inputs and parameters: x + a ≠ 0 and a + b < y.
+        cases.extend(formula_cases(
+            &quick,
+            |p, [x, _, a, _]| {
+                let (two, seven, zero) = (p.int(2), p.int(7), p.int(0));
+                let sum = p.add(x, a);
+                (
+                    vec![p.gt(x, two), p.lt(x, seven), p.ge(x, a)],
+                    p.ne(sum, zero),
+                )
+            },
+            &[vec![vec![(-10, 10)]], vec![vec![(-6, -3)]]],
+        ));
+        cases.extend(formula_cases(
+            &quick,
+            |p, [x, y, a, b]| {
+                let sum = p.add(a, b);
+                (vec![p.ge(x, a), p.le(y, b)], p.lt(sum, y))
+            },
+            &[
+                vec![vec![(-10, 10), (-10, 10)]],
+                vec![vec![(4, 10), (-2, 10)], vec![(-10, -10), (-10, -10)]],
+            ],
+        ));
+        // Under a small node budget: ω_pass1 is decided (a < -5 holds on
+        // whole boxes), while on a box in 1..=4 only the few points with
+        // x·y = a² + 7 pass, which the search may not reach, and no
+        // witness does.
+        cases.extend(formula_cases(
+            &starved,
+            |p, [x, y, a, _]| {
+                let (seven, five, minus_five) = (p.int(7), p.int(5), p.int(-5));
+                let (xy, aa) = (p.mul(x, y), p.mul(a, a));
+                let shifted = p.add(aa, seven);
+                let (hit, below) = (p.eq(xy, shifted), p.lt(a, minus_five));
+                (vec![p.ge(x, a), p.gt(x, five)], p.or(hit, below))
+            },
+            &[
+                vec![vec![(-10, 10)]],
+                vec![vec![(1, 4)]],
+                vec![vec![(0, 7)], vec![(-10, -10)]],
+            ],
+        ));
+        assert!(cases.len() >= 30, "only {} cases", cases.len());
 
         let (mut eager_queries, mut deferred_queries, mut refuted_guards) = (0, 0, 0);
+        let mut counts = RefineCounts::default();
         for (i, case) in cases.iter().enumerate() {
             for max_refine_depth in [1, 2, 3, RepairConfig::quick().max_refine_depth] {
                 for max_refine_calls in 1..=40 {
@@ -1200,14 +1436,25 @@ mod tests {
                     let deferred = refine_on_fork(case, &config, false);
                     let at =
                         format!("case {i}, depth {max_refine_depth}, calls {max_refine_calls}");
-                    assert_eq!(eager.0, deferred.0, "region differs at {at}");
-                    assert_eq!(eager.1, deferred.1, "calls differ at {at}");
-                    assert!(deferred.2 <= eager.2, "more queries at {at}");
-                    assert_eq!(eager.3, deferred.3, "pool size differs at {at}");
-                    eager_queries += eager.2;
-                    deferred_queries += deferred.2;
-                    refuted_guards += eager.4;
-                    if eager.1 < max_refine_calls {
+                    assert_eq!(eager.region, deferred.region, "region differs at {at}");
+                    assert_eq!(eager.calls, deferred.calls, "calls differ at {at}");
+                    assert!(deferred.queries <= eager.queries, "more queries at {at}");
+                    assert_eq!(
+                        eager.pool_len, deferred.pool_len,
+                        "pool size differs at {at}"
+                    );
+                    eager_queries += eager.queries;
+                    deferred_queries += deferred.queries;
+                    refuted_guards += eager.refuted_guards;
+                    counts.model_reuse_hits += deferred.counts.model_reuse_hits;
+                    for (sum, n) in counts
+                        .pass2_issued
+                        .iter_mut()
+                        .zip(deferred.counts.pass2_issued)
+                    {
+                        *sum += n;
+                    }
+                    if eager.calls < max_refine_calls {
                         // The budget never bound: larger ones change nothing.
                         break;
                     }
@@ -1215,6 +1462,15 @@ mod tests {
             }
         }
         assert!(refuted_guards > 0, "no deferred guard was ever Unsat");
+        assert!(
+            counts.model_reuse_hits > 0,
+            "no ω_pass2 answered by a witness"
+        );
+        let [sat, unsat, unknown] = counts.pass2_issued;
+        assert!(
+            sat > 0 && unsat > 0 && unknown > 0,
+            "solver-issued ω_pass2: {sat} Sat, {unsat} Unsat, {unknown} Unknown"
+        );
         assert!(
             deferred_queries < eager_queries,
             "no query saved: {deferred_queries} vs {eager_queries}"

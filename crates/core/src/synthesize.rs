@@ -9,6 +9,13 @@
 //! shown in the table are already modified by the synthesizer to pass the
 //! initial test case".
 //!
+//! Validation asks most of a repair's solver queries: each refinement
+//! starts from the template's full parameter range and recurses deeply.
+//! Every refinement keeps the models of `φ ∧ σ` the solver already gave
+//! it and answers `ω_pass2` from them where one, moved into the region,
+//! still satisfies `φ` and `σ` (see [`crate::reduce`]'s `Refinement`);
+//! [`SynthStats::model_reuse_hits`] counts those answers.
+//!
 //! # Parallelism
 //!
 //! Candidates never interact, so validation fans out over
@@ -32,7 +39,7 @@ use cpr_synth::{enumerate, AbstractPatch, PatchCandidate};
 
 use crate::problem::{RepairConfig, RepairProblem};
 use crate::ranking::PoolEntry;
-use crate::reduce::{fan_out, refine_patch_impl};
+use crate::reduce::{fan_out, refine_patch_impl, RefineCounts};
 use crate::session::Session;
 
 /// Statistics from pool construction.
@@ -48,6 +55,9 @@ pub struct SynthStats {
     /// expression (structurally equal modulo commutativity) without
     /// spending their refinement solver queries.
     pub alpha_rejected: usize,
+    /// RefinePatch `ω_pass2` queries answered from a witness model instead
+    /// of the solver ("refine.model_reuse_hits").
+    pub model_reuse_hits: u64,
 }
 
 /// Builds and validates the initial patch pool for `problem`.
@@ -88,6 +98,7 @@ pub fn build_patch_pool(
         config.threads,
         |pool, solver, i| {
             let mut alpha_rejected = false;
+            let mut counts = RefineCounts::default();
             let patch = validate_candidate(
                 pool,
                 solver,
@@ -98,14 +109,16 @@ pub fn build_patch_pool(
                 &candidates[i],
                 baseline,
                 &mut alpha_rejected,
+                &mut counts,
             );
-            (patch, alpha_rejected)
+            (patch, alpha_rejected, counts.model_reuse_hits)
         },
     );
-    stats.alpha_rejected = validated.iter().filter(|(_, alpha)| *alpha).count();
+    stats.alpha_rejected = validated.iter().filter(|(_, alpha, _)| *alpha).count();
+    stats.model_reuse_hits = validated.iter().map(|(_, _, hits)| hits).sum();
     let entries: Vec<PoolEntry> = validated
         .into_iter()
-        .filter_map(|(patch, _)| patch)
+        .filter_map(|(patch, _, _)| patch)
         .enumerate()
         .map(|(id, patch)| PoolEntry::new(AbstractPatch { id, ..patch }))
         .collect();
@@ -118,7 +131,7 @@ pub fn build_patch_pool(
 /// models), refining its parameter constraint on worker-owned state.
 /// Returns the refined patch — numbered 0; the merge assigns pool ids — or
 /// `None` when the candidate cannot repair some test for any parameter
-/// value.
+/// value. `counts` accumulates what its refinements did.
 #[allow(clippy::too_many_arguments)]
 fn validate_candidate(
     pool: &mut TermPool,
@@ -130,6 +143,7 @@ fn validate_candidate(
     cand: &PatchCandidate,
     baseline: Option<TermId>,
     alpha_rejected: &mut bool,
+    counts: &mut RefineCounts,
 ) -> Option<AbstractPatch> {
     let mut patch = if cand.params.is_empty() {
         AbstractPatch::concrete(0, cand.theta)
@@ -209,6 +223,7 @@ fn validate_candidate(
                         &patch.constraint,
                         sigma,
                         &mut 0,
+                        counts,
                         config,
                     );
                     if refined.is_empty() {

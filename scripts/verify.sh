@@ -32,8 +32,8 @@ cargo check --offline --manifest-path bench_e2e/Cargo.toml
 echo "==> tier-1: tests"
 cargo test -q
 
-echo "==> execution engine and solver crates' tests, debug (overflow checks on, unlike the release run below)"
-cargo test -q -p cpr-lang -p cpr-concolic -p cpr-smt
+echo "==> execution engine, solver and repair-core crates' tests, debug (overflow checks on, unlike the release run below)"
+cargo test -q -p cpr-lang -p cpr-concolic -p cpr-smt -p cpr-core
 
 echo "==> static lint of shipped subjects (cpr-lint, zero diagnostics expected)"
 cargo run --release -q -p cpr-analysis --bin cpr-lint programs/*.cpr

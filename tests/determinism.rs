@@ -270,7 +270,8 @@ fn metrics_instrumentation_is_invisible_in_the_report() {
 
 #[test]
 fn order_independent_counter_totals_are_thread_count_invariant() {
-    // Counters whose increments commute (query totals, paths explored, pool synthesis counts) must reach the same total at
+    // Counters whose increments commute (query totals, paths explored, pool
+    // synthesis counts, RefinePatch witness answers) must reach the same total at
     // any thread count — the shared-atomic design has no per-thread state
     // to merge, so only scheduling-dependent *splits* (e.g. which worker
     // scores a cache hit vs a miss) may move. Each run records into its
@@ -307,6 +308,7 @@ fn order_independent_counter_totals_are_thread_count_invariant() {
             get("synthesize.patches"),
             get("reduce.patches_dropped"),
             get("expand.candidates"),
+            get("refine.model_reuse_hits"),
         ]
     };
     let serial = counters_at(1);
