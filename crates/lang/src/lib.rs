@@ -61,6 +61,6 @@ pub use engine::{CrashKind, Outcome, RunResult};
 pub use error::{LangError, LangResult};
 pub use interp::{ConcretePatch, Interp};
 pub use lexer::{lex, Tok, Token};
-pub use parser::{parse, parse_expr};
+pub use parser::{parse, parse_expr, MAX_DEPTH};
 pub use pretty::{pretty, pretty_expr};
 pub use types::check;

@@ -31,13 +31,7 @@ use crate::lexer::{lex, Tok, Token};
 /// # }
 /// ```
 pub fn parse(src: &str) -> LangResult<Program> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        functions: Vec::new(),
-    };
-    p.program()
+    Parser::new(lex(src)?).program()
 }
 
 /// Parses a standalone expression (used for developer patches and baseline
@@ -54,25 +48,57 @@ pub fn parse(src: &str) -> LangResult<Program> {
 /// assert!(matches!(e, cpr_lang::Expr::Binary(cpr_lang::BinOp::Or, ..)));
 /// ```
 pub fn parse_expr(src: &str) -> LangResult<Expr> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        functions: Vec::new(),
-    };
+    let mut p = Parser::new(lex(src)?);
     let e = p.expr()?;
     p.expect(Tok::Eof)?;
     Ok(e)
 }
+
+/// The deepest nesting the parser accepts: open blocks, plus open
+/// parentheses, calls, indexing and unary operators, plus the height of a
+/// binary operator chain. The parser, type checking, the execution engine,
+/// term lowering and the solver all recurse once per level; a debug build
+/// of the parser spends up to ~17 KB of stack per nested block, so the cap
+/// keeps every stage within a 2 MB thread stack. Deeper source is hostile
+/// or generated input and gets a parse error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 64;
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     /// Names of the user functions declared so far (for call resolution).
     functions: Vec<String>,
+    /// Open nesting levels at the current token (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            functions: Vec::new(),
+            depth: 0,
+        }
+    }
+
+    /// Fails if `levels` more nesting levels here would pass [`MAX_DEPTH`].
+    fn check_depth(&self, levels: usize) -> LangResult<()> {
+        if self.depth + levels > MAX_DEPTH {
+            return Err(self.err_here(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> LangResult<T>) -> LangResult<T> {
+        self.check_depth(1)?;
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }
@@ -239,6 +265,10 @@ impl Parser {
     }
 
     fn block(&mut self) -> LangResult<Vec<Stmt>> {
+        self.nested(Self::block_body)
+    }
+
+    fn block_body(&mut self) -> LangResult<Vec<Stmt>> {
         self.expect(Tok::LBrace)?;
         let mut stmts = Vec::new();
         while self.peek().tok != Tok::RBrace {
@@ -416,32 +446,50 @@ impl Parser {
     }
 
     fn expr(&mut self) -> LangResult<Expr> {
-        self.or_expr()
+        self.nested_expr().map(|(e, _)| e)
     }
 
-    fn or_expr(&mut self) -> LangResult<Expr> {
+    /// An expression one nesting level deeper, with its height (a leaf is
+    /// 1). The expression parsers carry heights so that the cap also sees
+    /// the left-deep chains (`x + x + … + x`) they build in a loop.
+    fn nested_expr(&mut self) -> LangResult<(Expr, usize)> {
+        self.nested(Self::or_expr)
+    }
+
+    /// `lhs op rhs`, failing if its height would pass the cap here.
+    fn binary(
+        &self,
+        op: BinOp,
+        (lhs, lh): (Expr, usize),
+        (rhs, rh): (Expr, usize),
+    ) -> LangResult<(Expr, usize)> {
+        let height = lh.max(rh) + 1;
+        self.check_depth(height - 1)?;
+        let span = lhs.span().merge(rhs.span());
+        Ok((Expr::Binary(op, Box::new(lhs), Box::new(rhs), span), height))
+    }
+
+    fn or_expr(&mut self) -> LangResult<(Expr, usize)> {
         let mut lhs = self.and_expr()?;
         while self.peek().tok == Tok::OrOr {
             self.advance();
             let rhs = self.and_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs), span);
+            lhs = self.binary(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> LangResult<Expr> {
+    fn and_expr(&mut self) -> LangResult<(Expr, usize)> {
         let mut lhs = self.cmp_expr()?;
         while self.peek().tok == Tok::AndAnd {
             self.advance();
             let rhs = self.cmp_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs), span);
+            lhs = self.binary(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn cmp_expr(&mut self) -> LangResult<Expr> {
+    fn cmp_expr(&mut self) -> LangResult<(Expr, usize)> {
         let lhs = self.add_expr()?;
         let op = match self.peek().tok {
             Tok::EqEq => BinOp::Eq,
@@ -454,11 +502,10 @@ impl Parser {
         };
         self.advance();
         let rhs = self.add_expr()?;
-        let span = lhs.span().merge(rhs.span());
-        Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs), span))
+        self.binary(op, lhs, rhs)
     }
 
-    fn add_expr(&mut self) -> LangResult<Expr> {
+    fn add_expr(&mut self) -> LangResult<(Expr, usize)> {
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek().tok {
@@ -468,13 +515,12 @@ impl Parser {
             };
             self.advance();
             let rhs = self.mul_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), span);
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn mul_expr(&mut self) -> LangResult<Expr> {
+    fn mul_expr(&mut self) -> LangResult<(Expr, usize)> {
         let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek().tok {
@@ -485,89 +531,74 @@ impl Parser {
             };
             self.advance();
             let rhs = self.unary_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), span);
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn unary_expr(&mut self) -> LangResult<Expr> {
+    fn unary_expr(&mut self) -> LangResult<(Expr, usize)> {
         let start = self.peek().span;
-        match self.peek().tok {
-            Tok::Minus => {
-                self.advance();
-                let e = self.unary_expr()?;
-                let span = start.merge(e.span());
-                // Fold negated literals so the pretty-printer's `-5`
-                // re-parses to the `Expr::Int` it came from rather than a
-                // `Neg` node.
-                if let Expr::Int(v, _) = e {
-                    return Ok(Expr::Int(v.wrapping_neg(), span));
-                }
-                Ok(Expr::Unary(UnOp::Neg, Box::new(e), span))
-            }
-            Tok::Bang => {
-                self.advance();
-                let e = self.unary_expr()?;
-                let span = start.merge(e.span());
-                Ok(Expr::Unary(UnOp::Not, Box::new(e), span))
-            }
-            _ => self.primary_expr(),
+        let op = match self.peek().tok {
+            Tok::Minus => UnOp::Neg,
+            Tok::Bang => UnOp::Not,
+            _ => return self.primary_expr(),
+        };
+        self.advance();
+        let (e, height) = self.nested(Self::unary_expr)?;
+        let span = start.merge(e.span());
+        // Fold negated literals so the pretty-printer's `-5` re-parses to
+        // the `Expr::Int` it came from rather than a `Neg` node.
+        if let (UnOp::Neg, Expr::Int(v, _)) = (op, &e) {
+            return Ok((Expr::Int(v.wrapping_neg(), span), height));
         }
+        Ok((Expr::Unary(op, Box::new(e), span), height + 1))
     }
 
-    fn primary_expr(&mut self) -> LangResult<Expr> {
+    fn primary_expr(&mut self) -> LangResult<(Expr, usize)> {
         let tok = self.peek().clone();
-        match tok.tok {
-            Tok::Int(v) => {
-                self.advance();
-                Ok(Expr::Int(v, tok.span))
-            }
-            Tok::KwTrue => {
-                self.advance();
-                Ok(Expr::Bool(true, tok.span))
-            }
-            Tok::KwFalse => {
-                self.advance();
-                Ok(Expr::Bool(false, tok.span))
-            }
+        let leaf = match tok.tok {
+            Tok::Int(v) => Expr::Int(v, tok.span),
+            Tok::KwTrue => Expr::Bool(true, tok.span),
+            Tok::KwFalse => Expr::Bool(false, tok.span),
             Tok::LParen => {
                 self.advance();
-                let e = self.expr()?;
+                let e = self.nested_expr()?;
                 self.expect(Tok::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            Tok::Ident(name) => {
-                if self.peek2().tok == Tok::LParen {
-                    self.advance(); // ident
-                    self.advance(); // (
-                    let mut args = Vec::new();
-                    if self.peek().tok != Tok::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if self.peek().tok == Tok::Comma {
-                                self.advance();
-                            } else {
-                                break;
-                            }
+            Tok::Ident(name) if self.peek2().tok == Tok::LParen => {
+                self.advance(); // ident
+                self.advance(); // (
+                let (mut args, mut height) = (Vec::new(), 0);
+                if self.peek().tok != Tok::RParen {
+                    loop {
+                        let (arg, h) = self.nested_expr()?;
+                        args.push(arg);
+                        height = height.max(h);
+                        if self.peek().tok == Tok::Comma {
+                            self.advance();
+                        } else {
+                            break;
                         }
                     }
-                    let end = self.expect(Tok::RParen)?.span;
-                    let span = tok.span.merge(end);
-                    self.make_call(name, args, span)
-                } else if self.peek2().tok == Tok::LBracket {
-                    self.advance(); // ident
-                    self.advance(); // [
-                    let idx = self.expr()?;
-                    let end = self.expect(Tok::RBracket)?.span;
-                    Ok(Expr::Index(name, Box::new(idx), tok.span.merge(end)))
-                } else {
-                    self.advance();
-                    Ok(Expr::Var(name, tok.span))
                 }
+                let end = self.expect(Tok::RParen)?.span;
+                let span = tok.span.merge(end);
+                return Ok((self.make_call(name, args, span)?, height + 1));
             }
-            other => Err(self.err_here(format!("expected expression, found {other}"))),
-        }
+            Tok::Ident(name) if self.peek2().tok == Tok::LBracket => {
+                self.advance(); // ident
+                self.advance(); // [
+                let (idx, height) = self.nested_expr()?;
+                let end = self.expect(Tok::RBracket)?.span;
+                let span = tok.span.merge(end);
+                return Ok((Expr::Index(name, Box::new(idx), span), height + 1));
+            }
+            Tok::Ident(name) => Expr::Var(name, tok.span),
+            other => return Err(self.err_here(format!("expected expression, found {other}"))),
+        };
+        self.advance();
+        Ok((leaf, 1))
     }
 
     fn make_call(&self, name: String, args: Vec<Expr>, span: Span) -> LangResult<Expr> {

@@ -195,11 +195,12 @@ impl TermDigests {
 /// search can answer differently on identical content + knobs (e.g. v2
 /// added the relational zone pass at the root, turning some budget-capped
 /// `Unknown`s into `Unsat`; v3 encloses `t*t` as a square, which decides
-/// some `Unknown`s and changes some models). Folding it into every fleet
-/// key retires stale persisted verdicts wholesale instead of replaying
-/// them, and the fleet log header carries it so a stale log is not loaded
-/// at all.
-pub(crate) const CHECK_SEMANTICS_VERSION: u32 = 3;
+/// some `Unknown`s and changes some models; v4 removes the root zone pass,
+/// so a query it refuted at one node is searched, and may need more nodes
+/// or end `Unknown`). Folding it into every fleet key retires stale
+/// persisted verdicts wholesale instead of replaying them, and the fleet
+/// log header carries it so a stale log is not loaded at all.
+pub(crate) const CHECK_SEMANTICS_VERSION: u32 = 4;
 
 /// The domain-environment half of a fleet key: a 64-bit digest over the
 /// solver knobs that can change a verdict (node budget, contraction
@@ -360,9 +361,9 @@ mod tests {
         let mut domains = Domains::new();
         domains.bound(x, -5, 5).bound(y, 0, 9);
         let digest = fleet_domain_digest(&pool, &domains, &SolverConfig::default());
-        assert_eq!(CHECK_SEMANTICS_VERSION, 3);
+        assert_eq!(CHECK_SEMANTICS_VERSION, 4);
         assert_eq!(
-            digest, 15_305_116_399_421_404_660,
+            digest, 10_531_197_721_343_242_511,
             "fleet key changed: re-pin it on purpose"
         );
     }

@@ -62,7 +62,6 @@ mod simplify;
 mod solver;
 mod term;
 pub mod wire;
-pub mod zone;
 
 pub use deps::DepGraph;
 pub use fleet::{fsync_dir, FleetCache, FleetError, FleetKey, FleetVerdict, FlushStats};

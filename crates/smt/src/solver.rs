@@ -23,7 +23,6 @@ use crate::fleet::{FleetCache, FleetKey, FleetVerdict};
 use crate::interval::Interval;
 use crate::model::{Model, Value};
 use crate::term::{ArithOp, CmpOp, Sort, TermData, TermId, TermPool, VarId};
-use crate::zone::{self, ZoneScratch};
 
 /// Initial variable domains for a query.
 ///
@@ -352,8 +351,6 @@ struct SolverObs {
     fleet_misses: Counter,
     fleet_stores: Counter,
     fleet_load_errors: Counter,
-    zone_checks: Counter,
-    zone_refuted: Counter,
     solve_nanos: Histogram,
 }
 
@@ -370,8 +367,6 @@ impl SolverObs {
             fleet_misses: reg.counter("solver.fleet.misses"),
             fleet_stores: reg.counter("solver.fleet.stores"),
             fleet_load_errors: reg.counter("solver.fleet.load_errors"),
-            zone_checks: reg.counter("solver.zone.checks"),
-            zone_refuted: reg.counter("solver.zone.refuted"),
             solve_nanos: reg.histogram("solver.solve_nanos"),
         }
     }
@@ -744,7 +739,7 @@ impl Solver {
         budget: u64,
     ) -> SatResult {
         let (mut search, mut root) = self.start_search(pool, live, domains, budget);
-        let result = search.sat(&mut root, true);
+        let result = search.sat(&mut root);
         self.finish_search(search, root);
         result
     }
@@ -887,8 +882,6 @@ impl Solver {
             max_rounds: self.config.max_contraction_rounds,
             budget,
             nodes: 0,
-            zone_checks: 0,
-            zone_refuted: 0,
         };
         (search, root)
     }
@@ -896,10 +889,6 @@ impl Solver {
     /// Counts a finished search and takes its buffers back.
     fn finish_search(&mut self, search: Search<'_>, root: Node) {
         self.stats.nodes += search.nodes;
-        if search.zone_checks > 0 {
-            self.obs.zone_checks.add(search.zone_checks);
-            self.obs.zone_refuted.add(search.zone_refuted);
-        }
         self.scratch = search.scratch;
         self.scratch.root = root;
     }
@@ -907,9 +896,9 @@ impl Solver {
 
 /// The buffers of a search, kept by the solver between queries so that a
 /// query's setup allocates nothing once they have grown: the box layout,
-/// the per-constraint slot table, the root node, the recycled node and
-/// disjunction-box stacks, and the zone pass's graph. Every search
-/// refills or overwrites what it reads before reading it.
+/// the per-constraint slot table, the root node, and the recycled node and
+/// disjunction-box stacks. Every search refills or overwrites what it
+/// reads before reading it.
 #[derive(Debug, Default)]
 struct Scratch {
     layout: BoxLayout,
@@ -921,7 +910,6 @@ struct Scratch {
     root: Node,
     spare_nodes: Vec<Node>,
     spare_boxes: Vec<VarBox>,
-    zone: ZoneScratch,
 }
 
 impl Clone for Scratch {
@@ -977,8 +965,7 @@ enum Step {
 /// One branch-and-prune (or branch-and-count) search: the query's
 /// constraints, the solver's scratch buffers (layout, the box slots each
 /// constraint reads, and the recycled node and disjunction-box stacks that
-/// keep node steps free of allocation), the node budget, and the zone pass
-/// tallies mirrored into the metrics when the search finishes.
+/// keep node steps free of allocation) and the node budget.
 struct Search<'q> {
     pool: &'q TermPool,
     constraints: &'q [TermId],
@@ -986,8 +973,6 @@ struct Search<'q> {
     max_rounds: u32,
     budget: u64,
     nodes: u64,
-    zone_checks: u64,
-    zone_refuted: u64,
 }
 
 impl Search<'_> {
@@ -1091,7 +1076,7 @@ impl Search<'_> {
     }
 
     /// Branch-and-prune satisfiability of the box of `node`.
-    fn sat(&mut self, node: &mut Node, root: bool) -> SatResult {
+    fn sat(&mut self, node: &mut Node) -> SatResult {
         if !self.enter() {
             return SatResult::Unknown;
         }
@@ -1101,23 +1086,6 @@ impl Search<'_> {
             Step::Decided => return SatResult::Sat(node.vbox.midpoint_model(&self.scratch.layout)),
             Step::Open(i) => i,
         };
-        // Relational pass, at the root only: a negative cycle in the
-        // difference-constraint graph refutes the whole box — catching
-        // `x < y ∧ y < x`-shaped conjunctions the per-variable interval
-        // contraction above cannot see. Root-only keeps the cost to one
-        // Bellman–Ford scan per query.
-        if root {
-            let cx = Ctx {
-                pool: self.pool,
-                layout: &self.scratch.layout,
-            };
-            self.zone_checks += 1;
-            let zone = &mut self.scratch.zone;
-            if zone::zone_refute(cx, self.constraints, &node.vbox, zone).is_some() {
-                self.zone_refuted += 1;
-                return SatResult::Unsat;
-            }
-        }
         // Branch on a variable of the first open constraint.
         let Some(slot) = narrowest_open_slot(self.scratch.slots_of(open), &node.vbox) else {
             // All variables are points yet a constraint is unknown: can only
@@ -1139,7 +1107,7 @@ impl Search<'_> {
         ];
         let mut result = SatResult::Unsat;
         self.branch(node, slot, &children, |search, child| {
-            match search.sat(child, false) {
+            match search.sat(child) {
                 SatResult::Sat(m) => {
                     result = SatResult::Sat(m);
                     return true;
@@ -1254,7 +1222,7 @@ impl Bool3 {
 /// resets only the entries of the previous query's variables, so neither
 /// step allocates once the table has grown to the pool's variables.
 #[derive(Debug, Default)]
-pub(crate) struct BoxLayout {
+struct BoxLayout {
     vars: Vec<VarId>,
     /// `slot_of[v.index()]` is the slot of `v`, or [`NO_SLOT`].
     slot_of: Vec<u32>,
@@ -1265,14 +1233,14 @@ const NO_SLOT: u32 = u32::MAX;
 
 impl BoxLayout {
     /// Empties the layout.
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         for v in self.vars.drain(..) {
             self.slot_of[v.index()] = NO_SLOT;
         }
     }
 
     /// The slot of `v`, appending `v` as the next slot if it is new.
-    pub(crate) fn insert(&mut self, v: VarId) -> usize {
+    fn insert(&mut self, v: VarId) -> usize {
         let i = v.index();
         if i >= self.slot_of.len() {
             self.slot_of.resize(i + 1, NO_SLOT);
@@ -1284,36 +1252,26 @@ impl BoxLayout {
         self.slot_of[i] as usize
     }
 
-    /// The slot of `v`, if it is in the layout.
-    pub(crate) fn slot_index(&self, v: VarId) -> Option<usize> {
-        match self.slot_of.get(v.index()) {
-            Some(&s) if s != NO_SLOT => Some(s as usize),
-            _ => None,
-        }
-    }
-
+    /// The slot of `v`, which must be in the layout.
     fn slot(&self, v: VarId) -> usize {
-        self.slot_index(v).expect("variable not in box")
-    }
-
-    /// The variables in slot order (the deterministic iteration order the
-    /// zone pass derives its bound edges in).
-    pub(crate) fn vars(&self) -> &[VarId] {
-        &self.vars
+        match self.slot_of.get(v.index()) {
+            Some(&s) if s != NO_SLOT => s as usize,
+            _ => panic!("variable not in box"),
+        }
     }
 }
 
 /// What every box operation of a query reads besides the box itself: the
 /// term pool and the query's [`BoxLayout`].
 #[derive(Clone, Copy)]
-pub(crate) struct Ctx<'q> {
-    pub(crate) pool: &'q TermPool,
-    pub(crate) layout: &'q BoxLayout,
+struct Ctx<'q> {
+    pool: &'q TermPool,
+    layout: &'q BoxLayout,
 }
 
 impl Ctx<'_> {
     /// The interval of variable `v` in `vbox`.
-    pub(crate) fn get(self, vbox: &VarBox, v: VarId) -> Interval {
+    fn get(self, vbox: &VarBox, v: VarId) -> Interval {
         vbox.ivs[self.layout.slot(v)]
     }
 }
@@ -1327,7 +1285,7 @@ impl Ctx<'_> {
 /// scan of a few stamps. The layout is kept apart, once per query, so
 /// copying a box copies only intervals and stamps.
 #[derive(Debug, Default)]
-pub(crate) struct VarBox {
+struct VarBox {
     ivs: Vec<Interval>,
     stamps: Vec<u64>,
     clock: u64,
@@ -1355,13 +1313,7 @@ impl VarBox {
     /// Refills the box with the initial domains of `layout`'s variables.
     /// The clock restarts at 1 and every stamp at 0, so clock value 0 can
     /// stand for "never" in the node records that compare against stamps.
-    pub(crate) fn reset(
-        &mut self,
-        pool: &TermPool,
-        layout: &BoxLayout,
-        domains: &Domains,
-        default: Interval,
-    ) {
+    fn reset(&mut self, pool: &TermPool, layout: &BoxLayout, domains: &Domains, default: Interval) {
         self.ivs.clear();
         self.ivs.extend(
             layout
@@ -1372,16 +1324,6 @@ impl VarBox {
         self.stamps.clear();
         self.stamps.resize(self.ivs.len(), 0);
         self.clock = 1;
-    }
-
-    /// Number of slots.
-    pub(crate) fn len(&self) -> usize {
-        self.ivs.len()
-    }
-
-    /// The interval of slot `i`.
-    pub(crate) fn at(&self, i: usize) -> Interval {
-        self.ivs[i]
     }
 
     /// Whether any of `slots` changed after clock value `since`; always

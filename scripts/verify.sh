@@ -59,13 +59,11 @@ echo "==> observability: every allowlisted metric documented in DESIGN.md"
 while IFS= read -r metric; do
   case "$metric" in ''|'#'*|'['*) continue;; esac
   subsystem="${metric%%.*}"
-  # Fleet-cache, zone-pass and serving-tier metrics get the stricter
-  # two-level prefix: a bare mention of `solver.` must not vouch for the
-  # solver.fleet.* or solver.zone.* family, nor `serve.` for
-  # serve.accept.*/conn.*.
+  # Fleet-cache and serving-tier metrics get the stricter two-level
+  # prefix: a bare mention of `solver.` must not vouch for the
+  # solver.fleet.* family, nor `serve.` for serve.accept.*/conn.*.
   case "$metric" in
     solver.fleet.*) subsystem="solver.fleet";;
-    solver.zone.*) subsystem="solver.zone";;
     serve.accept.*|serve.conn.*) subsystem="${metric%.*}";;
   esac
   grep -q -e "$metric" -e "\`$subsystem\." DESIGN.md || {
