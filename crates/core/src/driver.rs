@@ -52,20 +52,22 @@ use crate::synthesize::build_patch_pool;
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"CPRS";
 /// Current snapshot format version. Bumped to 2 when `SolverStats` gained
 /// the assertion-frame and no-good counters, to 3 when it gained the
-/// fleet-cache counters — each change altered the embedded stats codec
-/// shape — to 4 when the payload gained the injected-inputs log
+/// persistent solver-cache counters — each change altered the embedded
+/// stats codec shape — to 4 when the payload gained the injected-inputs log
 /// ([`RepairDriver::inject_input`]), to 5 when it dropped the
-/// static-screen query counter along with the screen, and to 6 when it
+/// static-screen query counter along with the screen, to 6 when it
 /// dropped the expansion UNSAT-prefix store and the six frame, no-good and
-/// prefix counters along with those mechanisms.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// prefix counters along with those mechanisms, and to 7 when it dropped
+/// the four persistent solver-cache counters along with that cache.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Oldest snapshot format version [`RepairDriver::resume`] still loads.
 /// Version 3 predates the injected-inputs log; such snapshots load with an
 /// empty injection log (there was nothing to inject back then). Versions 3
-/// and 4 carry a static-screen query counter, and versions 3–5 the
-/// UNSAT-prefix store and six more solver counters; all of these are read
-/// and discarded. Older snapshots re-encode as the current version.
+/// and 4 carry a static-screen query counter, versions 3–5 the
+/// UNSAT-prefix store and six more solver counters, and versions 3–6 four
+/// persistent solver-cache counters; all of these are read and discarded.
+/// Older snapshots re-encode as the current version.
 pub const MIN_SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be loaded. Loading never panics: every
@@ -743,8 +745,8 @@ impl RepairDriver {
         let pool = TermPool::read_wire(&mut p)?;
         let terms = pool.len();
         let vars = pool.var_count();
-        let stats = if version <= 5 {
-            read_v5_solver_stats(&mut p, terms)?
+        let stats = if version <= 6 {
+            read_legacy_solver_stats(&mut p, terms, version)?
         } else {
             wire::read_solver_stats(&mut p)?
         };
@@ -915,13 +917,19 @@ impl RepairDriver {
     }
 }
 
-/// Reads the solver statistics of a version 3–5 snapshot and the
-/// UNSAT-prefix store that followed them, keeping only the counters that
-/// still exist. The six dropped counters (prefix short-circuits, frames
-/// pushed, trail restores, no-good hits, batched queries, fleet no-good
-/// hits) and the store are validated as they are read, then discarded.
-fn read_v5_solver_stats(p: &mut ByteReader<'_>, terms: usize) -> Result<SolverStats, WireError> {
-    let mut stats = SolverStats {
+/// Reads the solver statistics of a version 3–6 snapshot, and for
+/// versions 3–5 the UNSAT-prefix store that followed them, keeping only
+/// the counters that still exist. The dropped counters (versions 3–5:
+/// prefix short-circuits, frames pushed, trail restores, no-good hits,
+/// batched queries, persistent-cache no-good hits; versions 3–6:
+/// persistent-cache hits, misses, stores and load errors) and the store
+/// are validated as they are read, then discarded.
+fn read_legacy_solver_stats(
+    p: &mut ByteReader<'_>,
+    terms: usize,
+    version: u32,
+) -> Result<SolverStats, WireError> {
+    let stats = SolverStats {
         queries: p.u64("stats queries")?,
         sat: p.u64("stats sat")?,
         unsat: p.u64("stats unsat")?,
@@ -929,29 +937,42 @@ fn read_v5_solver_stats(p: &mut ByteReader<'_>, terms: usize) -> Result<SolverSt
         nodes: p.u64("stats nodes")?,
         cache_hits: p.u64("stats cache hits")?,
         cache_misses: p.u64("stats cache misses")?,
-        ..SolverStats::default()
     };
-    for what in [
-        "stats prefix short circuits",
-        "stats frames pushed",
-        "stats trail restores",
-        "stats nogood hits",
-        "stats batched queries",
-    ] {
+    // In the order they were written: versions 3–5 also carried the
+    // persistent-cache no-good counter between its misses and stores.
+    let dropped: &[&'static str] = if version <= 5 {
+        &[
+            "stats prefix short circuits",
+            "stats frames pushed",
+            "stats trail restores",
+            "stats nogood hits",
+            "stats batched queries",
+            "stats fleet hits",
+            "stats fleet misses",
+            "stats fleet nogood hits",
+            "stats fleet stores",
+            "stats fleet load errors",
+        ]
+    } else {
+        &[
+            "stats fleet hits",
+            "stats fleet misses",
+            "stats fleet stores",
+            "stats fleet load errors",
+        ]
+    };
+    for &what in dropped {
         p.u64(what)?;
     }
-    stats.fleet_hits = p.u64("stats fleet hits")?;
-    stats.fleet_misses = p.u64("stats fleet misses")?;
-    p.u64("stats fleet nogood hits")?;
-    stats.fleet_stores = p.u64("stats fleet stores")?;
-    stats.fleet_load_errors = p.u64("stats fleet load errors")?;
-    p.len("prefix store capacity")?;
-    // Min entry: 8-byte constraint count + 8-byte fingerprint.
-    for _ in 0..p.seq_len("prefix store entries", 16)? {
-        for _ in 0..p.seq_len("prefix store query", 4)? {
-            wire::read_term_id(p, terms, "prefix store constraint")?;
+    if version <= 5 {
+        p.len("prefix store capacity")?;
+        // Min entry: 8-byte constraint count + 8-byte fingerprint.
+        for _ in 0..p.seq_len("prefix store entries", 16)? {
+            for _ in 0..p.seq_len("prefix store query", 4)? {
+                wire::read_term_id(p, terms, "prefix store constraint")?;
+            }
+            p.u64("prefix store fingerprint")?;
         }
-        p.u64("prefix store fingerprint")?;
     }
     Ok(stats)
 }
@@ -1298,10 +1319,13 @@ mod tests {
     /// Rebuilds a current-version snapshot of `d` with no injections as an
     /// older wire image.
     ///
+    /// * Versions 3–6 carried four persistent-cache counters after the seven
+    ///   kept solver counters: hits, misses, stores and load errors.
     /// * Versions 3–5 carried 17 solver counters instead of 11 — six frame,
     ///   no-good and prefix counters sat after `cache_misses` and after
-    ///   `fleet_misses` — followed by the UNSAT-prefix store: capacity, then
-    ///   its sorted-id queries. The fixture fills both with nonzero values.
+    ///   persistent-cache misses — followed by the UNSAT-prefix store:
+    ///   capacity, then its sorted-id queries. The fixture fills the dropped counters and
+    ///   the store with nonzero values.
     /// * The payload ends with explore and elapsed nanos (u64 each), the
     ///   stop tag (u8) and the injection count (u64, zero here). Versions 3
     ///   and 4 carried a static-screen query counter (u64) right before
@@ -1321,33 +1345,36 @@ mod tests {
         let mut pool_bytes = ByteWriter::new();
         d.sess.pool.write_wire(&mut pool_bytes);
         let stats_at = pool_bytes.into_bytes().len();
-        let counter = |i: usize| &payload[stats_at + 8 * i..stats_at + 8 * (i + 1)];
-        let mut old = payload[..stats_at].to_vec();
-        for i in 0..7 {
-            old.extend_from_slice(counter(i));
-        }
-        // prefix short-circuits, frames pushed, trail restores, no-good
-        // hits, batched queries
-        for dropped in [3u64, 41, 97, 5, 60] {
-            old.extend_from_slice(&dropped.to_le_bytes());
-        }
-        old.extend_from_slice(counter(7)); // fleet hits
-        old.extend_from_slice(counter(8)); // fleet misses
-        old.extend_from_slice(&2u64.to_le_bytes()); // fleet no-good hits
-        old.extend_from_slice(counter(9)); // fleet stores
-        old.extend_from_slice(counter(10)); // fleet load errors
-        let mut store = ByteWriter::new();
-        store.usize(512);
-        store.usize(2);
-        for (ids, fingerprint) in [(&[0u32, 3][..], 0xfeed_u64), (&[1, 2, 4], 0xbeef)] {
-            store.usize(ids.len());
-            for &id in ids {
-                store.u32(id); // a term id
+        let stats_end = stats_at + 7 * 8;
+        let mut old = payload[..stats_end].to_vec();
+        let put = |old: &mut Vec<u8>, counters: &[u64]| {
+            for c in counters {
+                old.extend_from_slice(&c.to_le_bytes());
             }
-            store.u64(fingerprint);
+        };
+        if version == 6 {
+            // persistent-cache hits, misses, stores, load errors
+            put(&mut old, &[11, 12, 14, 1]);
+        } else {
+            // prefix short-circuits, frames pushed, trail restores, no-good
+            // hits, batched queries, then persistent-cache hits, misses,
+            // no-good hits, stores, load errors
+            put(&mut old, &[3, 41, 97, 5, 60, 11, 12, 2, 14, 1]);
         }
-        old.extend_from_slice(&store.into_bytes());
-        old.extend_from_slice(&payload[stats_at + 88..]);
+        if version <= 5 {
+            let mut store = ByteWriter::new();
+            store.usize(512);
+            store.usize(2);
+            for (ids, fingerprint) in [(&[0u32, 3][..], 0xfeed_u64), (&[1, 2, 4], 0xbeef)] {
+                store.usize(ids.len());
+                for &id in ids {
+                    store.u32(id); // a term id
+                }
+                store.u64(fingerprint);
+            }
+            old.extend_from_slice(&store.into_bytes());
+        }
+        old.extend_from_slice(&payload[stats_end..]);
         if version <= 4 {
             let tail = old.len() - 25;
             old.splice(tail..tail, queries_screened.to_le_bytes());
@@ -1374,20 +1401,23 @@ mod tests {
 
     #[test]
     fn resume_accepts_a_version_5_snapshot_and_discards_its_prefix_store() {
-        let mut d = RepairDriver::new(problem(), config());
-        d.step();
-        d.step();
-        let v5 = downgrade(&d, 5, 0);
-        assert_eq!(u32::from_le_bytes(v5[4..8].try_into().unwrap()), 5);
-        assert!(check_snapshot_header(&problem(), &v5).is_ok());
-        let mut r = RepairDriver::resume(problem(), config(), &v5).unwrap();
-        // The kept counters survive; re-snapshotting writes the current
-        // version, without the store and the dropped counters.
-        assert_eq!(r.sess.solver.stats().queries, d.sess.solver.stats().queries);
-        assert_eq!(r.snapshot(), d.snapshot());
-        while d.step() == StepStatus::Running {}
-        while r.step() == StepStatus::Running {}
-        assert_eq!(report_key(d.finish()), report_key(r.finish()));
+        // Version 6 too: it differs from 5 only in the counters it drops.
+        for version in [5, 6] {
+            let mut d = RepairDriver::new(problem(), config());
+            d.step();
+            d.step();
+            let old = downgrade(&d, version, 0);
+            assert_eq!(u32::from_le_bytes(old[4..8].try_into().unwrap()), version);
+            assert!(check_snapshot_header(&problem(), &old).is_ok());
+            let mut r = RepairDriver::resume(problem(), config(), &old).unwrap();
+            // The kept counters survive; re-snapshotting writes the current
+            // version, without the store and the dropped counters.
+            assert_eq!(r.sess.solver.stats().queries, d.sess.solver.stats().queries);
+            assert_eq!(r.snapshot(), d.snapshot());
+            while d.step() == StepStatus::Running {}
+            while r.step() == StepStatus::Running {}
+            assert_eq!(report_key(d.finish()), report_key(r.finish()));
+        }
     }
 
     #[test]

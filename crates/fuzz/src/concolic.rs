@@ -46,8 +46,7 @@ pub struct ConcolicFuzzConfig {
     pub exec_max_steps: u64,
     /// Maximum recorded path length per execution.
     pub exec_max_path: usize,
-    /// Solver configuration for the divergence queries; `cache_dir` plugs
-    /// the campaign into the fleet verdict cache shared with repair jobs.
+    /// Solver configuration for the divergence queries.
     pub solver: SolverConfig,
     /// Directory for the on-disk corpus of failing inputs (`None`
     /// disables persistence).
@@ -212,8 +211,7 @@ pub struct ConcolicFuzzer<'p> {
 
 impl<'p> ConcolicFuzzer<'p> {
     /// Sets up a campaign: interns input variables, bounds their domains,
-    /// and configures the solver (attaching fleet cache and
-    /// metrics per the config).
+    /// and configures the solver (attaching metrics per the config).
     pub fn new(program: &'p Program, config: &ConcolicFuzzConfig) -> ConcolicFuzzer<'p> {
         let mut pool = TermPool::new();
         let mut domains = Domains::new();
@@ -408,9 +406,6 @@ impl<'p> ConcolicFuzzer<'p> {
         result.frontier_len = seen.len();
         result.queue_len = queue.len();
         result.solver_queries = self.solver.stats().queries;
-        if let Some(fleet) = self.solver.fleet() {
-            let _ = fleet.flush();
-        }
         Ok(result)
     }
 

@@ -60,7 +60,7 @@ use crate::server::handle_line;
 use crate::sys::{Epoll, Event, Interest, Waker};
 
 /// Transport knobs for [`crate::serve_tcp_with`]. The defaults suit the
-/// loopback tests and a small fleet; a front-line deployment raises
+/// loopback tests and a small deployment; a front-line one raises
 /// `max_connections`.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {

@@ -52,7 +52,6 @@ use std::time::{Duration, Instant};
 
 use cpr_core::{RepairConfig, RepairDriver, RepairProblem, StepStatus};
 use cpr_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use cpr_smt::FleetCache;
 use cpr_subjects::all_subjects;
 
 use crate::json::Json;
@@ -72,16 +71,14 @@ pub const DEFAULT_CHECKPOINT_EVERY: usize = 8;
 /// typed `overloaded` error.
 pub const DEFAULT_MAX_QUEUED_JOBS: usize = 256;
 
-/// How a [`Scheduler`] is shaped: worker count, fleet cache, and the
-/// admission bound.
+/// How a [`Scheduler`] is shaped: worker count and the admission bound.
 #[derive(Debug, Clone)]
 pub struct SchedulerOptions {
     /// Worker threads (at least 1).
     pub workers: usize,
-    /// Fleet solver-cache directory: when given, the scheduler opens the
-    /// cache there and warm-loads its on-disk verdict store before the
-    /// first job runs. Every job shares the one in-process instance;
-    /// checkpoints and job completions flush it back to disk.
+    /// Ignored: the scheduler never reads it. It named the directory of
+    /// a persistent solver-verdict cache that no longer exists, and stays
+    /// only so that existing struct literals still compile.
     pub cache_dir: Option<PathBuf>,
     /// Admission bound: `submit` refuses (typed `overloaded`) while this
     /// many jobs are already waiting for a worker.
@@ -249,15 +246,13 @@ struct ServeObs {
     inject_rejected: Counter,
     inject_applied: Counter,
     queue_depth: Gauge,
-    fleet_flushes: Counter,
-    fleet_store_bytes: Gauge,
 }
 
 impl ServeObs {
     fn new(reg: &cpr_obs::MetricsRegistry) -> ServeObs {
-        // The `fuzz.*` family rides along for the same reason as the
-        // fleet metrics below: campaigns usually run client-side, but the
-        // stats response promises the full documented metric set.
+        // The `fuzz.*` family rides along: campaigns usually run
+        // client-side, but the stats response promises the full
+        // documented metric set.
         cpr_fuzz::register_fuzz_metrics(reg);
         ServeObs {
             queue_wait: reg.histogram("serve.queue_wait_nanos"),
@@ -273,11 +268,6 @@ impl ServeObs {
             inject_rejected: reg.counter("serve.inject.rejected"),
             inject_applied: reg.counter("serve.inject.applied"),
             queue_depth: reg.gauge("serve.queue_depth"),
-            // Registered even when no fleet cache is configured, so the
-            // stats verb (and the allowlist smoke test) always see the
-            // names, at zero.
-            fleet_flushes: reg.counter("solver.fleet.flushes"),
-            fleet_store_bytes: reg.gauge("solver.fleet.store_bytes"),
         }
     }
 }
@@ -312,30 +302,9 @@ struct Inner {
     max_queued_jobs: usize,
     store: SnapshotStore,
     obs: ServeObs,
-    /// The fleet solver cache shared by every job, opened (and warm-loaded
-    /// from disk) once at scheduler construction. `None` when the server
-    /// runs without `--cache-dir`.
-    fleet: Option<Arc<FleetCache>>,
-    /// The directory the fleet cache lives in, propagated into each job's
-    /// `SolverConfig` so its solver resolves the same shared instance.
-    cache_dir: Option<PathBuf>,
 }
 
 impl Inner {
-    /// Durably flushes the fleet cache (if any) and updates the flush
-    /// counter and store-size gauge. Flush failures are deliberately
-    /// swallowed: the cache is an accelerator, never a correctness
-    /// dependency, so a full disk must not fail the job that triggered
-    /// the flush.
-    fn flush_fleet(&self) {
-        if let Some(fleet) = &self.fleet {
-            if let Ok(stats) = fleet.flush() {
-                self.obs.fleet_flushes.inc();
-                self.obs.fleet_store_bytes.set(clamp_i64(stats.store_bytes));
-            }
-        }
-    }
-
     fn refresh_queue_depth(&self, st: &State) {
         self.obs.queue_depth.set(clamp_i64(st.queue.len() as u64));
     }
@@ -400,8 +369,7 @@ impl Scheduler {
         )
     }
 
-    /// The fully-shaped constructor: worker count, fleet cache, admission
-    /// bound.
+    /// The fully-shaped constructor: worker count and admission bound.
     pub fn with_options(opts: SchedulerOptions, store: SnapshotStore) -> Scheduler {
         Scheduler::start(opts, store, cpr_obs::global())
     }
@@ -414,13 +382,6 @@ impl Scheduler {
             .ok()
             .and_then(|ids| ids.last().copied())
             .map_or(1, |max| max + 1);
-        let fleet = opts.cache_dir.as_deref().map(|dir| {
-            FleetCache::open_shared(dir, cpr_core::RepairConfig::quick().solver.fleet_capacity)
-        });
-        let obs = ServeObs::new(reg);
-        if let Some(fleet) = &fleet {
-            obs.fleet_store_bytes.set(clamp_i64(fleet.store_bytes()));
-        }
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 jobs: BTreeMap::new(),
@@ -432,9 +393,7 @@ impl Scheduler {
             work: Condvar::new(),
             max_queued_jobs: opts.max_queued_jobs.max(1),
             store,
-            obs,
-            fleet,
-            cache_dir: opts.cache_dir,
+            obs: ServeObs::new(reg),
         });
         let handles = (0..opts.workers.max(1))
             .map(|_| {
@@ -746,34 +705,6 @@ impl Scheduler {
         &self.inner.store
     }
 
-    /// Fleet-cache figures for the `stats` verb: whether a cache is
-    /// configured, its lifetime hit/miss tallies and hit rate, and the
-    /// on-disk store footprint. All fields are present (at zero) when no
-    /// cache is configured, so clients can parse one shape.
-    pub fn fleet_stats(&self) -> Json {
-        let (enabled, hits, misses, store_bytes, entries) = match &self.inner.fleet {
-            Some(fleet) => {
-                let (h, m) = fleet.hit_counts();
-                (true, h, m, fleet.store_bytes(), fleet.entries() as u64)
-            }
-            None => (false, 0, 0, 0, 0),
-        };
-        let lookups = hits + misses;
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        };
-        Json::obj(vec![
-            ("enabled", Json::Bool(enabled)),
-            ("hits", Json::Int(clamp_i64(hits))),
-            ("misses", Json::Int(clamp_i64(misses))),
-            ("hit_rate", Json::Float(hit_rate)),
-            ("store_bytes", Json::Int(clamp_i64(store_bytes))),
-            ("entries", Json::Int(clamp_i64(entries))),
-        ])
-    }
-
     /// Graceful shutdown: pause every running job (each checkpoints and
     /// parks), park queued jobs, and join the workers.
     pub fn shutdown(&self) {
@@ -934,11 +865,7 @@ fn run_job_inner(inner: &Inner, id: u64, spec: &JobSpec) {
         Ok(p) => p,
         Err(e) => return fail(e),
     };
-    let mut config = job_config(spec);
-    // Point the job's solver at the scheduler's fleet cache directory; the
-    // solver resolves it through the per-directory registry, so every job
-    // in this process shares the one warm-loaded instance.
-    config.solver.cache_dir = inner.cache_dir.clone();
+    let config = job_config(spec);
     let checkpoint_every = spec
         .checkpoint_every
         .unwrap_or(DEFAULT_CHECKPOINT_EVERY)
@@ -991,10 +918,6 @@ fn run_job_inner(inner: &Inner, id: u64, spec: &JobSpec) {
         inner.obs.snapshots_written.inc();
         inner.obs.snapshot_bytes.record(bytes.len() as u64);
         inner.obs.snapshot_fsync.record(fsync_nanos);
-        // Piggyback the fleet-cache flush on the job checkpoint: verdicts
-        // learned since the last checkpoint become durable at the same
-        // cadence as the job state itself.
-        inner.flush_fleet();
         let mut st = lock(&inner.state);
         if let Some(job) = st.jobs.get_mut(&id) {
             job.obs.snapshots_written += 1;
@@ -1065,9 +988,7 @@ fn run_job_inner(inner: &Inner, id: u64, spec: &JobSpec) {
     let stop = driver.stop_reason().map(|s| s.name());
     let iterations = driver.iterations();
     let report = report_to_json(&driver.finish());
-    // The job is complete; its checkpoint has served its purpose. The
-    // fleet cache, by contrast, outlives the job — flush what it learned.
-    inner.flush_fleet();
+    // The job is complete; its checkpoint has served its purpose.
     let _ = inner.store.remove(id);
     finish_job(inner, id, |job| {
         job.state = JobState::Done;

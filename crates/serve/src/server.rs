@@ -93,7 +93,6 @@ pub(crate) fn handle_line(sched: &Scheduler, line: &str) -> (Json, bool) {
                 ok_response(vec![
                     ("stats_version", Json::Int(crate::stats::STATS_VERSION)),
                     ("process", process),
-                    ("fleet", sched.fleet_stats()),
                     ("jobs", sched.job_stats()),
                 ]),
                 false,

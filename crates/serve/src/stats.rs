@@ -30,15 +30,17 @@ use crate::json::Json;
 
 /// Version of the stats response shape (independent of
 /// [`crate::protocol::PROTOCOL_VERSION`]). Bumped to 2 when the response
-/// gained the top-level `fleet` object (fleet solver-cache hit/miss
-/// tallies, hit rate, and on-disk store size); to 3 with the epoll
+/// gained a top-level object for the persistent solver-verdict cache
+/// (hit/miss tallies, hit rate, and on-disk store size); to 3 with the epoll
 /// serving tier, when job rows gained a `shard` field and the process
 /// section the `serve.accept.*`, `serve.shard.*` and `serve.conn.*`
 /// metric families; to 4 when the scheduler went to one run queue, which
 /// dropped the job rows' `shard` field and the `serve.shard.steals` and
 /// `serve.shard.rebalanced` counters, and renamed the queue-depth gauge
-/// `serve.queue_depth`.
-pub const STATS_VERSION: i64 = 4;
+/// `serve.queue_depth`; to 5 when the persistent solver-verdict cache was
+/// deleted, which dropped its top-level object and its five counters and
+/// one gauge from the process section.
+pub const STATS_VERSION: i64 = 5;
 
 fn clamp_i64(v: u64) -> i64 {
     i64::try_from(v).unwrap_or(i64::MAX)

@@ -53,7 +53,6 @@
 
 mod deps;
 mod digest;
-pub mod fleet;
 pub mod interval;
 mod model;
 mod parse;
@@ -64,7 +63,6 @@ mod term;
 pub mod wire;
 
 pub use deps::DepGraph;
-pub use fleet::{fsync_dir, FleetCache, FleetError, FleetKey, FleetVerdict, FlushStats};
 pub use interval::Interval;
 pub use model::{Model, Value};
 pub use parse::ParseTermError;
@@ -74,3 +72,4 @@ pub use solver::{
     SolverStats,
 };
 pub use term::{ArithOp, CmpOp, Sort, TermData, TermId, TermPool, VarId};
+pub use wire::fsync_dir;

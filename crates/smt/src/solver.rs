@@ -12,16 +12,14 @@
 //! conservatively by all callers.
 
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use cpr_obs::{Counter, Histogram, MetricsRegistry};
 
 use crate::deps::DepGraph;
-use crate::digest::{fleet_domain_digest, TermDigests};
-use crate::fleet::{FleetCache, FleetKey, FleetVerdict};
+use crate::digest::TermDigests;
 use crate::interval::Interval;
-use crate::model::{Model, Value};
+use crate::model::Model;
 use crate::term::{ArithOp, CmpOp, Sort, TermData, TermId, TermPool, VarId};
 
 /// Initial variable domains for a query.
@@ -104,12 +102,6 @@ impl SatResult {
     }
 }
 
-/// Node budget of the local probe that runs before any fleet lookup
-/// (see `Solver::check_inner`): a query it decides never builds a fleet
-/// key. On the `served` benchmark workload 9 of a pass's 534,006 queries
-/// outlast it.
-const PROBE_NODES: u64 = 64;
-
 /// Tuning knobs for the solver.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
@@ -122,17 +114,6 @@ pub struct SolverConfig {
     /// Capacity of the memoizing query cache (entries per generation);
     /// `0` disables caching entirely.
     pub cache_capacity: usize,
-    /// Directory of the durable fleet cache (see [`crate::fleet`]):
-    /// verdicts keyed by content digest, shared across jobs
-    /// and restarts, consulted only for queries a short local probe
-    /// cannot decide. `None` (the default) disables the fleet path
-    /// entirely. Verdict-preserving: a stored verdict is an exact replay
-    /// of the local search on the same content, so a warm fleet cache may
-    /// change counters but never an answer.
-    pub cache_dir: Option<PathBuf>,
-    /// Maximum verdicts the fleet cache holds; at
-    /// capacity new inserts are dropped (the store never evicts).
-    pub fleet_capacity: usize,
 }
 
 impl Default for SolverConfig {
@@ -142,8 +123,6 @@ impl Default for SolverConfig {
             max_contraction_rounds: 30,
             default_domain: Interval::of(-(1 << 30), 1 << 30),
             cache_capacity: 4_096,
-            cache_dir: None,
-            fleet_capacity: 65_536,
         }
     }
 }
@@ -165,19 +144,6 @@ pub struct SolverStats {
     pub cache_hits: u64,
     /// Queries that missed the cache and ran the full search.
     pub cache_misses: u64,
-    /// Queries answered from the durable fleet cache (verdict lookups
-    /// that resolved and revalidated; every such query also counts in
-    /// `queries` and its per-verdict counter).
-    pub fleet_hits: u64,
-    /// Queries that consulted the fleet cache and missed.
-    pub fleet_misses: u64,
-    /// Verdicts this solver recorded into the fleet cache (inserts the
-    /// store kept; a present key or a full store drops the insert).
-    pub fleet_stores: u64,
-    /// Whether the fleet store failed to load (degraded to a cold start):
-    /// `1` on the solver that opened the errored store, else `0`. The
-    /// typed error is available via `FleetCache::load_error`.
-    pub fleet_load_errors: u64,
 }
 
 /// Canonical form of a query: the live constraints in sorted, deduplicated
@@ -230,17 +196,6 @@ fn narrowest_open_slot(slots: &[u32], vbox: &VarBox) -> Option<usize> {
         }
     }
     best.map(|(s, _)| s)
-}
-
-/// A witness model re-keyed by variable name (sorted), the
-/// pool-independent form persisted in fleet `Sat` verdicts.
-fn named_model(pool: &TermPool, m: &Model) -> Vec<(String, Value)> {
-    let mut named: Vec<(String, Value)> = m
-        .iter()
-        .map(|(v, value)| (pool.var_name(v).to_string(), value))
-        .collect();
-    named.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    named
 }
 
 /// Bounded memoization table for solver verdicts, evicted in two
@@ -347,10 +302,6 @@ struct SolverObs {
     unknown: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
-    fleet_hits: Counter,
-    fleet_misses: Counter,
-    fleet_stores: Counter,
-    fleet_load_errors: Counter,
     solve_nanos: Histogram,
 }
 
@@ -363,10 +314,6 @@ impl SolverObs {
             unknown: reg.counter("solver.unknown"),
             cache_hits: reg.counter("solver.cache_hits"),
             cache_misses: reg.counter("solver.cache_misses"),
-            fleet_hits: reg.counter("solver.fleet.hits"),
-            fleet_misses: reg.counter("solver.fleet.misses"),
-            fleet_stores: reg.counter("solver.fleet.stores"),
-            fleet_load_errors: reg.counter("solver.fleet.load_errors"),
             solve_nanos: reg.histogram("solver.solve_nanos"),
         }
     }
@@ -417,27 +364,13 @@ pub struct Solver {
     /// cache. Forked workers intern terms into their own pool forks; such
     /// ids name different terms in different forks, so only queries over
     /// the shared prefix (ids below the fork point) may touch the shared
-    /// table. `usize::MAX` (the root solver) caches everything. The fleet
-    /// cache is *not* floor-gated: its keys are content digests, which
-    /// mean the same thing in every fork and every process.
+    /// table. `usize::MAX` (the root solver) caches everything.
     cache_floor: usize,
     /// Term → variable dependency lists, synced lazily against the pool
     /// before every search (see [`DepGraph`]).
     deps: DepGraph,
     /// Per-term content digests, synced lazily like `deps`.
     digests: TermDigests,
-    /// The durable fleet cache, when [`SolverConfig::cache_dir`] is set —
-    /// one shared instance per directory per process, `Arc`-cloned into
-    /// every fork. Safe to consult mid-phase: stored verdicts are pure
-    /// functions of content keys.
-    fleet: Option<Arc<FleetCache>>,
-    /// The last `Domains` a fleet key was built under, with its
-    /// [`fleet_domain_digest`]: a job's queries nearly all share one
-    /// `Domains`, so the name-keyed digest is built once per change of
-    /// domains, not once per query. Like the in-process cache, this
-    /// assumes every query of one solver names its variables in one pool
-    /// lineage. Forks start empty.
-    fleet_domains: Option<(Domains, u64)>,
     /// The search buffers, reused by every query of this solver.
     scratch: Scratch,
     obs: SolverObs,
@@ -453,24 +386,14 @@ impl Solver {
     /// Creates a solver with the given configuration. Observability is
     /// off until [`Solver::attach_metrics`] is called.
     pub fn new(config: SolverConfig) -> Self {
-        let fleet = config
-            .cache_dir
-            .as_ref()
-            .map(|dir| FleetCache::open_shared(dir, config.fleet_capacity));
-        let mut stats = SolverStats::default();
-        if fleet.as_ref().is_some_and(|f| f.load_error().is_some()) {
-            stats.fleet_load_errors = 1;
-        }
         let cache = SharedQueryCache::new(config.cache_capacity);
         Solver {
             config,
-            stats,
+            stats: SolverStats::default(),
             cache,
             cache_floor: usize::MAX,
             deps: DepGraph::new(),
             digests: TermDigests::default(),
-            fleet,
-            fleet_domains: None,
             scratch: Scratch::default(),
             obs: SolverObs::default(),
         }
@@ -484,9 +407,6 @@ impl Solver {
     /// bit-identical with instrumentation on or off.
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
         self.obs = SolverObs::new(registry);
-        // The one stat whose event predates attachment: a fleet-store
-        // load error is detected in `Solver::new`, so mirror it here.
-        self.obs.fleet_load_errors.add(self.stats.fleet_load_errors);
     }
 
     /// Creates a worker solver for a parallel phase: same configuration,
@@ -503,11 +423,6 @@ impl Solver {
             cache_floor: base_terms.min(self.cache_floor),
             deps: self.deps.clone(),
             digests: self.digests.clone(),
-            // The fleet handle is shared outright: content keys are valid
-            // in every fork, and stored verdicts are pure functions of
-            // those keys, so mid-phase visibility cannot skew a verdict.
-            fleet: self.fleet.clone(),
-            fleet_domains: None,
             // Each worker grows its own buffers: they carry no state
             // between queries, and sharing them would serialize workers.
             scratch: Scratch::default(),
@@ -528,23 +443,11 @@ impl Solver {
         self.stats.nodes += s.nodes;
         self.stats.cache_hits += s.cache_hits;
         self.stats.cache_misses += s.cache_misses;
-        self.stats.fleet_hits += s.fleet_hits;
-        self.stats.fleet_misses += s.fleet_misses;
-        self.stats.fleet_stores += s.fleet_stores;
-        // `fleet_load_errors` is deliberately excluded: it is set once by
-        // the solver that opened the store; workers fork with zeroed
-        // stats, so summing would be a no-op anyway — but keeping it out
-        // of the merge documents that it is not an accumulating counter.
     }
 
     /// Number of entries currently memoized.
     pub fn cache_entries(&self) -> usize {
         self.cache.len()
-    }
-
-    /// The durable fleet cache handle, when one is configured.
-    pub fn fleet(&self) -> Option<&Arc<FleetCache>> {
-        self.fleet.as_ref()
     }
 
     /// Accumulated statistics.
@@ -621,8 +524,7 @@ impl Solver {
             live,
             domains_fingerprint(domains, self.config.default_domain),
         );
-        // Then the memoizing cache, the probe, the fleet cache and the
-        // branch-and-prune search.
+        // Then the memoizing cache and the branch-and-prune search.
         let caching = self.cache.capacity() > 0
             && key
                 .0
@@ -645,152 +547,27 @@ impl Solver {
         self.deps.sync(pool);
         // Content-canonical answer order: the solver *answers* every
         // query with constraints iterated in content-digest order (ties
-        // by id), unconditionally — fleet on or off. With the bounded
-        // node budget, iteration order is observable in `Unknown`
-        // cutoffs and in `Sat` witness models, so answering in an
-        // id-independent order is what makes each verdict a pure
-        // function of constraint *content* — the contract that lets a
-        // fleet-cached verdict from another process stand in for a local
-        // search bit-for-bit.
+        // by id). With the bounded node budget, iteration order is
+        // observable in `Unknown` cutoffs and in `Sat` witness models, so
+        // answering in an id-independent order is what makes each verdict
+        // a pure function of constraint *content*. Workers of a parallel
+        // phase intern into their own pool forks, so one query can carry
+        // different ids under different thread counts; this order is what
+        // keeps repair reports identical across thread counts.
         self.digests.sync(pool);
         let live = self.digests.sort_by_content(&key.0);
-        let max_nodes = self.config.max_nodes;
-        let result = match self.fleet.clone() {
-            None => self.search(pool, &live, domains, max_nodes),
-            // Probe before the fleet: nearly every query is decided in a
-            // few nodes, far cheaper than building its fleet key. The
-            // search spends budget only on entering a node, so a search
-            // cut at `PROBE_NODES` visits a prefix of the full search's
-            // nodes in the same order; a verdict it reaches (and its
-            // model) is the full search's. Only a cutoff short of the
-            // full budget goes on to the fleet.
-            Some(fleet) => match self.search(pool, &live, domains, PROBE_NODES.min(max_nodes)) {
-                SatResult::Unknown if PROBE_NODES < max_nodes => {
-                    self.check_fleet(&fleet, pool, &live, domains)
-                }
-                decided => decided,
-            },
-        };
+        let (mut search, mut root) = self.start_search(pool, &live, domains, self.config.max_nodes);
+        let result = search.sat(&mut root);
+        self.finish_search(search, root);
         match &result {
             SatResult::Sat(_) => self.stats.sat += 1,
             SatResult::Unsat => self.stats.unsat += 1,
             SatResult::Unknown => self.stats.unknown += 1,
         }
-        // A fleet hit is promoted here too: sound because the stored
-        // verdict is the same pure function of the canonical key the
-        // local search computes.
         if caching {
             self.cache.record(key, result.clone());
         }
         result
-    }
-
-    /// Answers a query the probe could not decide: from the fleet cache
-    /// when it holds a verdict that resolves against `pool`, else by the
-    /// full-budget search, whose verdict is then recorded in the fleet.
-    fn check_fleet(
-        &mut self,
-        fleet: &FleetCache,
-        pool: &TermPool,
-        live: &[TermId],
-        domains: &Domains,
-    ) -> SatResult {
-        // The fleet key: sorted content digests + the domain/knob digest.
-        let mut digests = self.digests.of_terms(pool, live);
-        digests.sort_unstable();
-        let fkey: FleetKey = (digests, self.fleet_domain_digest(pool, domains));
-        if let Some(result) = fleet
-            .lookup_verdict(&fkey)
-            .and_then(|verdict| self.resolve_fleet_verdict(pool, live, verdict))
-        {
-            fleet.tally_hit();
-            self.stats.fleet_hits += 1;
-            self.obs.fleet_hits.inc();
-            return result;
-        }
-        fleet.tally_miss();
-        self.stats.fleet_misses += 1;
-        self.obs.fleet_misses.inc();
-        let result = self.search(pool, live, domains, self.config.max_nodes);
-        // Persist the fresh verdict — `Unknown` included: the node budget
-        // is folded into the key's domain digest and the answer order is
-        // content-canonical, so a budget cutoff is just as much a pure
-        // function of the key as a decision is, and the capped searches
-        // are the most expensive ones to redo in every job.
-        let kept = fleet.record_verdict(fkey, || match &result {
-            SatResult::Sat(m) => FleetVerdict::Sat(named_model(pool, m)),
-            SatResult::Unsat => FleetVerdict::Unsat,
-            SatResult::Unknown => FleetVerdict::Unknown,
-        });
-        if kept {
-            self.stats.fleet_stores += 1;
-            self.obs.fleet_stores.inc();
-        }
-        result
-    }
-
-    /// Runs the branch-and-prune search over `live` with a node budget of
-    /// `budget`, counting its nodes.
-    fn search(
-        &mut self,
-        pool: &TermPool,
-        live: &[TermId],
-        domains: &Domains,
-        budget: u64,
-    ) -> SatResult {
-        let (mut search, mut root) = self.start_search(pool, live, domains, budget);
-        let result = search.sat(&mut root);
-        self.finish_search(search, root);
-        result
-    }
-
-    /// The fleet digest of `domains` under this solver's configuration,
-    /// memoized on the last `Domains` seen.
-    fn fleet_domain_digest(&mut self, pool: &TermPool, domains: &Domains) -> u64 {
-        if let Some((memo, digest)) = &self.fleet_domains {
-            if memo == domains {
-                return *digest;
-            }
-        }
-        let digest = fleet_domain_digest(pool, domains, &self.config);
-        self.fleet_domains = Some((domains.clone(), digest));
-        digest
-    }
-
-    /// Turns a fleet verdict back into a [`SatResult`] against this
-    /// pool, or `None` (treat as a miss) when it cannot be validated.
-    /// `Unsat` and `Unknown` need no validation (`Unknown` is sound by
-    /// vacuity, `Unsat` carries the store's authority). A `Sat` model is re-resolved by variable name
-    /// and **re-checked against the live constraints**: a fleet hit never
-    /// asserts satisfiability on the store's authority, only on the
-    /// model's own evidence — so a corrupt or colliding entry can cost a
-    /// lookup, never a wrong verdict.
-    fn resolve_fleet_verdict(
-        &self,
-        pool: &TermPool,
-        live: &[TermId],
-        verdict: FleetVerdict,
-    ) -> Option<SatResult> {
-        match verdict {
-            FleetVerdict::Unsat => Some(SatResult::Unsat),
-            FleetVerdict::Unknown => Some(SatResult::Unknown),
-            FleetVerdict::Sat(named) => {
-                let mut model = Model::new();
-                for (name, value) in &named {
-                    model.set(pool.find_var(name)?, *value);
-                }
-                let covers_query = live
-                    .iter()
-                    .all(|&c| self.deps.vars_of(c).iter().all(|&v| model.get(v).is_some()));
-                if !covers_query {
-                    return None;
-                }
-                if !model.satisfies(pool, live) {
-                    return None;
-                }
-                Some(SatResult::Sat(model))
-            }
-        }
     }
 
     /// Counts the models of the conjunction over all variables occurring in
@@ -1965,24 +1742,6 @@ mod tests {
         assert_eq!(narrowest_open_slot(&[1], &vbox), Some(1));
         assert_eq!(narrowest_open_slot(&[0], &vbox), None);
         assert_eq!(narrowest_open_slot(&[], &vbox), None);
-    }
-
-    #[test]
-    fn fleet_domain_digest_is_memoized_per_domains() {
-        let (mut p, mut s) = setup();
-        let xv = p.var("x", Sort::Int);
-        let yv = p.var("y", Sort::Int);
-        let mut a = Domains::new();
-        a.bound(xv, -5, 5);
-        let mut b = a.clone();
-        b.bound(yv, 0, 9);
-        for d in [&a, &a, &b, &a, &b, &b] {
-            assert_eq!(
-                s.fleet_domain_digest(&p, d),
-                fleet_domain_digest(&p, d, &s.config)
-            );
-        }
-        assert!(s.fork(p.len()).fleet_domains.is_none());
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   (sorted ids, insertion order where order is semantic), so encoding the
 //!   same logical state twice produces identical bytes.
 
-use std::fmt;
+use std::path::Path;
+use std::{fmt, fs, io};
 
 use crate::interval::Interval;
 use crate::model::{Model, Value};
@@ -292,6 +293,17 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Fsyncs a directory, making a preceding `rename` within it durable.
+///
+/// POSIX only guarantees that a `rename` survives a crash once the
+/// *directory* containing the entry has been fsynced — syncing the file
+/// itself orders its data, not the directory entry pointing at it. Every
+/// atomic tmp + rename swap of an encoded file must therefore end with
+/// this call on the parent directory.
+pub fn fsync_dir(dir: &Path) -> io::Result<()> {
+    fs::File::open(dir)?.sync_all()
+}
+
 // ---------------------------------------------------------------------------
 // Wire encodings for cpr-smt value types.
 // ---------------------------------------------------------------------------
@@ -485,10 +497,6 @@ pub fn write_solver_stats(w: &mut ByteWriter, s: &SolverStats) {
     w.u64(s.nodes);
     w.u64(s.cache_hits);
     w.u64(s.cache_misses);
-    w.u64(s.fleet_hits);
-    w.u64(s.fleet_misses);
-    w.u64(s.fleet_stores);
-    w.u64(s.fleet_load_errors);
 }
 
 /// Reads [`SolverStats`] counters.
@@ -501,10 +509,6 @@ pub fn read_solver_stats(r: &mut ByteReader<'_>) -> Result<SolverStats, WireErro
         nodes: r.u64("stats nodes")?,
         cache_hits: r.u64("stats cache hits")?,
         cache_misses: r.u64("stats cache misses")?,
-        fleet_hits: r.u64("stats fleet hits")?,
-        fleet_misses: r.u64("stats fleet misses")?,
-        fleet_stores: r.u64("stats fleet stores")?,
-        fleet_load_errors: r.u64("stats fleet load errors")?,
     })
 }
 
@@ -696,10 +700,6 @@ mod tests {
             nodes: 999,
             cache_hits: 3,
             cache_misses: 7,
-            fleet_hits: 11,
-            fleet_misses: 12,
-            fleet_stores: 14,
-            fleet_load_errors: 1,
         };
         let mut w = ByteWriter::new();
         write_solver_stats(&mut w, &s);
@@ -708,10 +708,7 @@ mod tests {
         assert_eq!(s2.queries, 10);
         assert_eq!(s2.unsat, 5);
         assert_eq!(s2.cache_misses, 7);
-        assert_eq!(s2.fleet_hits, 11);
-        assert_eq!(s2.fleet_misses, 12);
-        assert_eq!(s2.fleet_stores, 14);
-        assert_eq!(s2.fleet_load_errors, 1);
+        assert_eq!(bytes.len(), 7 * 8, "seven counters, nothing else");
     }
 
     #[test]

@@ -651,80 +651,6 @@ fn seeded_query_in(mut pool: TermPool, rng: &mut Rng) -> SeededQuery {
     }
 }
 
-/// With a fleet configured, the solver first runs a search cut at a small
-/// node budget and returns its verdict whenever that search decides; only
-/// an `Unknown` goes on to the fleet and the full search. That is exact
-/// because the search spends budget only on entering a node: a search cut
-/// at any budget visits a prefix of the full search's nodes, so a verdict
-/// it reaches, and its model, are the full search's. Checked two ways on
-/// seeded queries: plain searches cut at budgets up to and past the probe's
-/// decide exactly like the full search, and a fleet-backed solver, over a
-/// cold and then a warm store, answers exactly like a solver without one.
-#[test]
-fn probe_before_the_fleet_answers_like_the_full_search() {
-    let dir = std::env::temp_dir().join(format!("cpr_prop_probe_fleet_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    // Held open so every solver below shares one in-memory store.
-    let fleet = cpr_smt::FleetCache::open_shared(&dir, 1 << 16);
-    let plain = |q: &SeededQuery, max_nodes: u64| {
-        Solver::new(SolverConfig {
-            max_nodes,
-            cache_capacity: 0,
-            ..SolverConfig::default()
-        })
-        .check(&q.pool, &q.constraints, &q.domains)
-    };
-    let queries: Vec<SeededQuery> = (0..800u64)
-        .map(|case| seeded_query(&mut Rng::new(0x9b0b_e000 + case)))
-        .collect();
-    let full: Vec<SatResult> = queries.iter().map(|q| plain(q, q.max_nodes)).collect();
-    let mut decided_cut = 0;
-    for (case, (q, full)) in queries.iter().zip(&full).enumerate() {
-        for budget in [1, 4, 16, 64, 128] {
-            if budget >= q.max_nodes {
-                break;
-            }
-            let cut = plain(q, budget);
-            if cut != SatResult::Unknown {
-                decided_cut += 1;
-                assert_eq!(&cut, full, "case {case}: budget {budget} decided otherwise");
-            }
-        }
-    }
-    let (mut escalated, mut warm_hits) = (0, 0);
-    for pass in ["cold", "warm"] {
-        for (case, (q, full)) in queries.iter().zip(&full).enumerate() {
-            let mut solver = Solver::new(SolverConfig {
-                max_nodes: q.max_nodes,
-                cache_capacity: 0,
-                cache_dir: Some(dir.clone()),
-                ..SolverConfig::default()
-            });
-            let answer = solver.check(&q.pool, &q.constraints, &q.domains);
-            assert_eq!(
-                &answer, full,
-                "case {case}: the {pass} fleet path answered otherwise"
-            );
-            let stats = solver.stats();
-            if pass == "cold" {
-                escalated += stats.fleet_misses;
-            } else {
-                warm_hits += stats.fleet_hits;
-            }
-        }
-    }
-    // Non-vacuous: the cut searches decide often, some queries outlast the
-    // probe, and the warm pass answers those from the store.
-    assert!(decided_cut > 500, "only {decided_cut} cut searches decided");
-    assert!(escalated > 0, "no query outlasted the probe");
-    assert_eq!(
-        warm_hits, escalated,
-        "the warm pass must hit every escalated query"
-    );
-    drop(fleet);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A solver reuses its search buffers (box layout, slot table, root node,
 /// recycled node and box stacks) from one query to the next.
 /// One long-lived solver per budget answers a seeded, interleaved run of

@@ -59,11 +59,9 @@ echo "==> observability: every allowlisted metric documented in DESIGN.md"
 while IFS= read -r metric; do
   case "$metric" in ''|'#'*|'['*) continue;; esac
   subsystem="${metric%%.*}"
-  # Fleet-cache and serving-tier metrics get the stricter two-level
-  # prefix: a bare mention of `solver.` must not vouch for the
-  # solver.fleet.* family, nor `serve.` for serve.accept.*/conn.*.
+  # Serving-tier transport metrics get the stricter two-level prefix: a
+  # bare mention of `serve.` must not vouch for serve.accept.*/conn.*.
   case "$metric" in
-    solver.fleet.*) subsystem="solver.fleet";;
     serve.accept.*|serve.conn.*) subsystem="${metric%.*}";;
   esac
   grep -q -e "$metric" -e "\`$subsystem\." DESIGN.md || {
@@ -77,9 +75,6 @@ cargo run --release -q -p cpr-bench --bin bench_obs -- --check
 
 echo "==> reduce phase: bench_reduce --check (pool/stats/query/Unknown identity across cache and thread configs)"
 cargo run --release -q -p cpr-bench --bin bench_reduce -- --check
-
-echo "==> fleet cache: bench_cache --check (report identity with the persistent solver cache absent, cold, and warm)"
-cargo run --release -q -p cpr-bench --bin bench_cache -- --check
 
 echo "==> continuous repair: bench_fuzz --check (campaign determinism + three-way injection identity)"
 cargo run --release -q -p cpr-bench --bin bench_fuzz -- --check

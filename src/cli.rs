@@ -32,13 +32,13 @@ USAGE:
       re-execute. Found inputs are written to --corpus-dir atomically.
 
   cpr fuzz --subject <name> [--serve-addr host:port] [--corpus-dir DIR]
-           [--max-execs N] [--seed N] [--max-inputs N] [--cache-dir DIR]
+           [--max-execs N] [--seed N] [--max-inputs N]
       Pure-concolic fuzzing of a registry subject (continuous repair,
       DESIGN.md §4.13). Offline by default; with --serve-addr, streams
       findings into a running `cpr serve`: the first input with a fresh
       crash signature submits a repair job, and every finding is injected
       into its signature's live job between driver steps. --max-inputs
-      stops after N findings; --cache-dir shares the fleet solver cache.
+      stops after N findings.
 
   cpr repair <file> --failing k=v[,k=v...] [options]
       Run concolic repair. Options:
@@ -61,10 +61,6 @@ USAGE:
         --emit               print the repaired program (top patch applied)
         --metrics-out FILE   write the run's metrics (solver, phases) to
                              FILE as one JSON line after the repair
-        --cache-dir DIR      persistent fleet solver cache: warm-load
-                             solver verdicts from DIR before the repair
-                             and flush what this run learned back after
-                             (identical reports either way, often faster)
 
       Exhausting either budget is a normal stop: the anytime algorithm
       reports the ranked pool it has at that point.
@@ -73,14 +69,12 @@ USAGE:
       List the benchmark registry, or repair one registry subject.
 
   cpr serve [--addr host:port] [--workers N] [--max-queued N]
-            [--state-dir DIR] [--cache-dir DIR] [--stdio]
+            [--state-dir DIR] [--stdio]
       Start the repair job server (JSON-lines protocol, DESIGN.md §4.7;
       epoll serving tier, §4.14). Defaults: --addr 127.0.0.1:7411,
       --workers 4, --max-queued 256, --state-dir .cpr-serve. Workers
       take jobs from one FIFO run queue; submits past --max-queued
-      waiting jobs draw a typed `overloaded` error. With --cache-dir,
-      every job shares a persistent fleet solver cache warm-loaded from
-      DIR at startup and flushed at each checkpoint. With --stdio,
+      waiting jobs draw a typed `overloaded` error. With --stdio,
       serves one session on stdin/stdout instead of TCP.
 
   cpr submit <subject> [--addr host:port] [--max-iterations N]
@@ -288,7 +282,6 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
             "serve-addr",
             "corpus-dir",
             "max-inputs",
-            "cache-dir",
         ],
         &["concolic"],
     )?;
@@ -400,7 +393,6 @@ fn fuzz_concolic(
         config.max_findings = n;
     }
     config.corpus_dir = opts.value("corpus-dir").map(std::path::PathBuf::from);
-    config.solver.cache_dir = opts.value("cache-dir").map(std::path::PathBuf::from);
     config.metrics = true;
 
     let mut fuzzer = cpr_fuzz::ConcolicFuzzer::new(program, &config);
@@ -521,7 +513,6 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
             "time-budget-ms",
             "top",
             "metrics-out",
-            "cache-dir",
         ],
         &["no-logic", "emit"],
     )?;
@@ -607,7 +598,7 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
     // `--max-iterations` / `--time-budget-ms` are the service-style
     // spellings of `--iters` / `--ms`; either works, the long spelling
     // wins when both are given.
-    let mut config = RepairConfig {
+    let config = RepairConfig {
         max_iterations: opts
             .value("max-iterations")
             .or_else(|| opts.value("iters"))
@@ -623,15 +614,6 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
         ),
         ..RepairConfig::default()
     };
-    config.solver.cache_dir = opts.value("cache-dir").map(std::path::PathBuf::from);
-    // Hold the fleet cache open for the whole run (the solver resolves the
-    // same instance through the per-directory registry), then flush once
-    // at the end so what this run learned is durable for the next one.
-    let fleet = config
-        .solver
-        .cache_dir
-        .as_deref()
-        .map(|dir| cpr_smt::FleetCache::open_shared(dir, config.solver.fleet_capacity));
     let top: usize = opts
         .value("top")
         .map(|v| v.parse().map_err(|_| "invalid --top"))
@@ -640,11 +622,6 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
 
     problem.validate()?;
     let report = repair(&problem, &config);
-    if let Some(fleet) = &fleet {
-        if fleet.flush().is_err() {
-            eprintln!("warning: could not flush the fleet solver cache (report unaffected)");
-        }
-    }
     print_report(&report, top);
     if let Some(path) = opts.value("metrics-out") {
         // The repair recorded into the process-wide registry
@@ -744,12 +721,12 @@ fn parse_opt_num<T: std::str::FromStr>(opts: &Opts<'_>, name: &str) -> Result<Op
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
-        &["addr", "workers", "max-queued", "state-dir", "cache-dir"],
+        &["addr", "workers", "max-queued", "state-dir"],
         &["stdio"],
     )?;
     if !opts.positional.is_empty() {
         return Err(
-            "usage: cpr serve [--addr host:port] [--workers N] [--max-queued N] [--state-dir DIR] [--cache-dir DIR] [--stdio]".into(),
+            "usage: cpr serve [--addr host:port] [--workers N] [--max-queued N] [--state-dir DIR] [--stdio]".into(),
         );
     }
     let workers: usize = parse_opt_num(&opts, "workers")?.unwrap_or(4);
@@ -758,12 +735,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let state_dir = opts.value("state-dir").unwrap_or(".cpr-serve");
     let store = cpr_serve::SnapshotStore::open(state_dir)
         .map_err(|e| format!("cannot open state dir {state_dir}: {e}"))?;
-    let cache_dir = opts.value("cache-dir").map(std::path::PathBuf::from);
     let scheduler = cpr_serve::Scheduler::with_options(
         cpr_serve::SchedulerOptions {
             workers,
-            cache_dir,
             max_queued_jobs: max_queued,
+            ..cpr_serve::SchedulerOptions::default()
         },
         store,
     );
@@ -947,6 +923,13 @@ mod tests {
         run(&args(&["help"])).unwrap();
         run(&[]).unwrap();
         assert!(run(&args(&["frobnicate"])).is_err());
+        for verb in ["repair", "fuzz", "serve"] {
+            assert_eq!(
+                run(&args(&[verb, "--cache-dir", "d"])),
+                Err("unknown flag --cache-dir".to_string()),
+                "{verb}"
+            );
+        }
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! phase (prefix flips + path-reduction feasibility probes). This is the end-to-end guarantee behind `RepairConfig::threads` —
 //! wall-clock is the only observable difference.
 
-use std::path::Path;
-
 use cpr_core::{
     repair, test_input, RepairConfig, RepairDriver, RepairProblem, RepairReport, StepStatus,
 };
@@ -53,17 +51,29 @@ fn report_key(r: &RepairReport) -> String {
 fn repair_is_bit_identical_across_thread_counts() {
     // Three supported subjects, small enough for a quick() budget but
     // non-trivial (each explores several partitions and refines
-    // parameterized patches).
-    let subjects = all_subjects();
-    let mut checked = 0;
-    for subject in subjects.iter().filter(|s| !s.not_supported).take(3) {
-        let name = subject.name();
-        let problem = subject.problem();
+    // parameterized patches), and one job whose queries run past 64
+    // search nodes, where a budget cutoff and a witness model depend on
+    // the order the solver answers in.
+    let quick = |max_iterations: usize| {
+        let mut config = RepairConfig::quick();
+        config.max_iterations = max_iterations;
+        config
+    };
+    let mut cases: Vec<(String, RepairProblem, RepairConfig)> = all_subjects()
+        .iter()
+        .filter(|s| !s.not_supported)
+        .take(3)
+        .map(|s| (s.name(), s.problem(), quick(12)))
+        .collect();
+    assert!(cases.len() >= 3, "expected at least 3 supported subjects");
+    let mut escalating = quick(6);
+    escalating.solver.max_nodes = 2_000;
+    cases.push(("escalating".into(), escalating_problem(), escalating));
+    for (name, problem, config) in &cases {
         let run = |threads: usize| {
-            let mut config = RepairConfig::quick();
-            config.max_iterations = 12;
+            let mut config = config.clone();
             config.threads = threads;
-            report_key(&repair(&problem, &config))
+            report_key(&repair(problem, &config))
         };
         let serial = run(1);
         for threads in [2, 8] {
@@ -73,9 +83,7 @@ fn repair_is_bit_identical_across_thread_counts() {
                 "{name}: report differs between 1 and {threads} threads"
             );
         }
-        checked += 1;
     }
-    assert!(checked >= 3, "expected at least 3 supported subjects");
 }
 
 #[test]
@@ -320,23 +328,11 @@ fn order_independent_counter_totals_are_thread_count_invariant() {
     );
 }
 
-/// A scratch fleet-cache directory, cleaned before use.
-fn fleet_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "cpr_determinism_fleet_{tag}_{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// A job whose solver queries outlast the solver's local probe, so a run
-/// with a fleet cache reads and writes the store: the registry subjects'
-/// queries are all decided by the probe and never reach the fleet. The
-/// nonlinear specification is `bench_cache`'s.
+/// A job whose nonlinear specification keeps the solver searching past 64
+/// nodes on many queries, which no registry subject does.
 fn escalating_problem() -> RepairProblem {
     let program = cpr_lang::parse(
-        "program fleet_escalation {
+        "program escalation {
             input x in [-100000, 100000];
             input y in [-100000, 100000];
             input z in [-100000, 100000];
@@ -351,7 +347,7 @@ fn escalating_problem() -> RepairProblem {
     .unwrap();
     cpr_lang::check(&program).unwrap();
     RepairProblem::new(
-        "fleet_escalation",
+        "escalation",
         program,
         ComponentSet::new()
             .with_all_comparisons()
@@ -364,109 +360,6 @@ fn escalating_problem() -> RepairProblem {
             test_input(&[("x", -3), ("y", -4), ("z", 20)]),
         ],
     )
-}
-
-/// One repair of `problem` with the fleet cache at `cache_dir` (or none):
-/// the report key and the fleet hits the run scored.
-fn fleet_run(
-    problem: &RepairProblem,
-    threads: usize,
-    cache_dir: Option<&std::path::Path>,
-) -> (String, u64) {
-    let registry = MetricsRegistry::new();
-    let mut config = RepairConfig::quick();
-    config.max_iterations = 6;
-    config.threads = threads;
-    config.solver.max_nodes = 2_000;
-    config.solver.cache_dir = cache_dir.map(Path::to_path_buf);
-    let mut driver = RepairDriver::with_metrics(problem.clone(), config, &registry);
-    while driver.step() == StepStatus::Running {}
-    let key = report_key(&driver.finish());
-    let hits = registry
-        .snapshot()
-        .counters
-        .iter()
-        .find(|(name, _)| name == "solver.fleet.hits")
-        .map_or(0, |(_, v)| *v);
-    (key, hits)
-}
-
-#[test]
-fn fleet_cache_never_changes_the_repair_report() {
-    // The persistent fleet cache must be a pure accelerator with the
-    // *full* report — query counters included — bit-identical across:
-    // no cache, a cold cache (fresh directory, populated as the run
-    // goes), and a warm cache (a second run over the store the first one
-    // flushed), at 1 and 4 threads. This is the determinism contract that
-    // makes the store safe to share across jobs and restarts: a
-    // fleet-cached verdict replays exactly what a cold search would have
-    // computed, because verdicts are content-addressed and answered in
-    // content-canonical order.
-    let problem = escalating_problem();
-    let (baseline, _) = fleet_run(&problem, 1, None);
-    for threads in [1, 4] {
-        let dir = fleet_dir(&format!("identity_{threads}"));
-        let (cold, _) = fleet_run(&problem, threads, Some(&dir));
-        assert_eq!(
-            baseline, cold,
-            "a cold fleet cache changed the report at {threads} threads"
-        );
-        let (warm, hits) = fleet_run(&problem, threads, Some(&dir));
-        assert_eq!(
-            baseline, warm,
-            "a warm fleet cache changed the report at {threads} threads"
-        );
-        assert!(
-            hits > 0,
-            "the warm run at {threads} threads scored no fleet hits"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-#[test]
-fn corrupted_fleet_cache_falls_back_to_cold_and_identical() {
-    // A damaged store must never panic, never alter a verdict, and never
-    // move a report field: the load degrades to a cold start (the typed
-    // error is surfaced in `SolverStats::fleet_load_errors`) and the
-    // first flush rewrites the file wholesale. Garbage that fails the
-    // magic check and a bit-flipped record that fails its checksum both
-    // take that path.
-    let problem = escalating_problem();
-    let (baseline, _) = fleet_run(&problem, 1, None);
-    let dir = fleet_dir("corrupt");
-    // Populate a real store first and show a warm run reads it, then
-    // damage it two different ways.
-    assert_eq!(
-        baseline,
-        fleet_run(&problem, 1, Some(&dir)).0,
-        "cold run diverged"
-    );
-    let log = dir.join("cache.log");
-    let good = std::fs::read(&log).expect("populated cache.log");
-    let (warm, hits) = fleet_run(&problem, 1, Some(&dir));
-    assert_eq!(baseline, warm, "warm run diverged");
-    assert!(hits > 0, "the intact store scored no fleet hits");
-    for threads in [1, 4] {
-        // Foreign bytes: fails the magic check.
-        std::fs::write(&log, b"not a fleet cache at all").unwrap();
-        assert_eq!(
-            baseline,
-            fleet_run(&problem, threads, Some(&dir)).0,
-            "a garbage store changed the report at {threads} threads"
-        );
-        // Bit flip mid-record: fails that record's checksum.
-        let mut flipped = good.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        std::fs::write(&log, &flipped).unwrap();
-        assert_eq!(
-            baseline,
-            fleet_run(&problem, threads, Some(&dir)).0,
-            "a bit-flipped store changed the report at {threads} threads"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
